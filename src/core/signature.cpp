@@ -1,6 +1,8 @@
 #include "core/signature.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
 #include <stdexcept>
 
 #include "dsp/biquad.hpp"
@@ -43,18 +45,27 @@ ml::Tensor compute_signature(const acoustics::MultiChannelAudio& audio,
   const auto shape = signature_shape(config);
   ml::Tensor out({1, shape.channels, shape.frames, shape.bands});
 
-  // Channels are filtered/analysed independently and fill disjoint slices of
-  // the output tensor.
-  util::parallel_for(static_cast<std::size_t>(sensors::kNumMics), [&](std::size_t ci) {
-    // 6 kHz anti-spoofing low-pass before analysis.  Filtered samples and
-    // band features live in workspace scratch (fully overwritten below), so
-    // the per-window signature path stays off the heap in steady state.
-    dsp::BiquadCascade lp = dsp::BiquadCascade::low_pass(
-        config.lowpass_hz, audio.sample_rate, config.lowpass_sections);
-    util::Scratch<double> filtered{n};
-    lp.process_into(audio.channels[ci], filtered.span());
+  // 6 kHz anti-spoofing low-pass before analysis: one section design, all
+  // mics filtered together (one SIMD lane per channel).  Filtered samples
+  // and band features live in workspace scratch (fully overwritten below),
+  // so the per-window signature path stays off the heap in steady state.
+  constexpr std::size_t kMics = sensors::kNumMics;
+  util::Scratch<double> filtered{kMics * n};
+  {
+    std::array<std::span<const double>, kMics> in;
+    std::array<std::span<double>, kMics> lp_out;
+    for (std::size_t ci = 0; ci < kMics; ++ci) {
+      in[ci] = audio.channels[ci];
+      lp_out[ci] = filtered.span().subspan(ci * n, n);
+    }
+    dsp::Biquad::low_pass(config.lowpass_hz, audio.sample_rate)
+        .cascade_channels(config.lowpass_sections, in, lp_out);
+  }
 
-    const auto spec = dsp::stft(filtered.span(), stft_cfg);
+  // Channels are analysed independently and fill disjoint slices of the
+  // output tensor.
+  util::parallel_for(kMics, [&](std::size_t ci) {
+    const auto spec = dsp::stft(filtered.span().subspan(ci * n, n), stft_cfg);
     util::Scratch<double> feats{spec.num_frames * config.bands.bands_per_frame};
     dsp::band_features_into(spec, config.bands, feats.span());
     const std::size_t frames = std::min<std::size_t>(spec.num_frames, shape.frames);

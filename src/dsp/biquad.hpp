@@ -30,6 +30,16 @@ class Biquad {
 
   void reset();
 
+  // Filters every channel through `sections` cascaded fresh copies of this
+  // section, channels in SIMD lanes.  This object's own state is neither
+  // read nor changed.  out[c] is bitwise what process_into of a fresh
+  // cascade of those copies gives for in[c], on the vector and scalar
+  // backends alike.  Channel counts and lengths must match and out must not
+  // alias in (throws std::invalid_argument on a size mismatch).
+  void cascade_channels(int sections,
+                        std::span<const std::span<const double>> in,
+                        std::span<const std::span<double>> out) const;
+
   // Steady-state magnitude response at the given frequency.
   double magnitude_at(double hz, double sample_rate) const;
 

@@ -1,5 +1,6 @@
 #include "dsp/fft.hpp"
 
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <mutex>
@@ -8,6 +9,7 @@
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
+#include "util/scratch.hpp"
 #include "util/simd.hpp"
 
 namespace sb::dsp {
@@ -58,6 +60,14 @@ inline void twiddle_step(double& wr, double& wi, double wlr, double wli) {
   const double nwr = wr * wlr - wi * wli;
   wi = wr * wli + wi * wlr;
   wr = nwr;
+}
+
+// The stage-`len` root of unity wlen that the twiddle recurrence steps by.
+inline void stage_root(std::size_t len, bool inverse, double& wlr, double& wli) {
+  const double ang =
+      2.0 * std::numbers::pi / static_cast<double>(len) * (inverse ? 1.0 : -1.0);
+  wlr = std::cos(ang);
+  wli = std::sin(ang);
 }
 
 // f32 plan: the shared bit-reversal table plus PRECOMPUTED per-stage float
@@ -229,6 +239,138 @@ void butterflies_vector_f(float* d, std::size_t n, std::size_t len,
   }
 }
 
+// Structure-of-arrays butterflies for fft_batch_bitreversed.  Lanes span
+// transforms, so twiddles are broadcasts and the vector path engages at any
+// lane width.  Per element every butterfly is butterfly_at's formula; one
+// body serves both backends through these two operation sets.
+struct ScalarLanes {
+  using T = double;
+  static constexpr std::size_t kLanes = 1;
+  static T load(const double* p) { return *p; }
+  static void store(double* p, T x) { *p = x; }
+  static T broadcast(double x) { return x; }
+  static T add(T a, T b) { return a + b; }
+  static T sub(T a, T b) { return a - b; }
+  static T mul(T a, T b) { return a * b; }
+};
+
+struct VectorLanes {
+  using T = util::simd::VDouble;
+  static constexpr std::size_t kLanes = util::simd::kDoubleLanes;
+  static T load(const double* p) { return util::simd::loadd(p); }
+  static void store(double* p, T x) { util::simd::stored(p, x); }
+  static T broadcast(double x) { return util::simd::broadcastd(x); }
+  static T add(T a, T b) { return util::simd::addd(a, b); }
+  static T sub(T a, T b) { return util::simd::subd(a, b); }
+  static T mul(T a, T b) { return util::simd::muld(a, b); }
+};
+
+// (u, x) <- (u + x*w, u - x*w), exactly butterfly_at on one lane group.
+template <typename L>
+inline void butterfly(typename L::T& ur, typename L::T& ui, typename L::T& xr,
+                      typename L::T& xi, typename L::T wr, typename L::T wi) {
+  const auto vr = L::sub(L::mul(xr, wr), L::mul(xi, wi));
+  const auto vi = L::add(L::mul(xr, wi), L::mul(xi, wr));
+  xr = L::sub(ur, vr);
+  xi = L::sub(ui, vi);
+  ur = L::add(ur, vr);
+  ui = L::add(ui, vi);
+}
+
+// One stage's butterfly on rows (a, b), over the first `count` transforms.
+template <typename L>
+void stage_rows(double* re, double* im, std::size_t a, std::size_t b,
+                std::size_t count, const double* w) {
+  const auto wr = L::broadcast(w[0]), wi = L::broadcast(w[1]);
+  for (std::size_t j = 0; j + L::kLanes <= count; j += L::kLanes) {
+    auto ar = L::load(re + a + j), ai = L::load(im + a + j);
+    auto br = L::load(re + b + j), bi = L::load(im + b + j);
+    butterfly<L>(ar, ai, br, bi, wr, wi);
+    L::store(re + a + j, ar), L::store(im + a + j, ai);
+    L::store(re + b + j, br), L::store(im + b + j, bi);
+  }
+}
+
+// Two consecutive stages (len, 2 len) on the four rows they couple, loaded
+// and stored once: stage len pairs (a, b = a + len/2) and, one group on,
+// (c = a + len, d = c + len/2); stage 2 len then pairs (a, c) and (b, d).
+// Stage len's butterflies run before stage 2 len reads their outputs, so
+// the values are those of two separate passes.
+template <typename L>
+void stage_pair_rows(double* re, double* im, std::size_t a, std::size_t b,
+                     std::size_t c, std::size_t d, std::size_t count,
+                     const double* w1, const double* w2, const double* w3) {
+  const auto w1r = L::broadcast(w1[0]), w1i = L::broadcast(w1[1]);
+  const auto w2r = L::broadcast(w2[0]), w2i = L::broadcast(w2[1]);
+  const auto w3r = L::broadcast(w3[0]), w3i = L::broadcast(w3[1]);
+  for (std::size_t j = 0; j + L::kLanes <= count; j += L::kLanes) {
+    auto ar = L::load(re + a + j), ai = L::load(im + a + j);
+    auto br = L::load(re + b + j), bi = L::load(im + b + j);
+    auto cr = L::load(re + c + j), ci = L::load(im + c + j);
+    auto dr = L::load(re + d + j), di = L::load(im + d + j);
+    butterfly<L>(ar, ai, br, bi, w1r, w1i);
+    butterfly<L>(cr, ci, dr, di, w1r, w1i);
+    butterfly<L>(ar, ai, cr, ci, w2r, w2i);
+    butterfly<L>(br, bi, dr, di, w3r, w3i);
+    L::store(re + a + j, ar), L::store(im + a + j, ai);
+    L::store(re + b + j, br), L::store(im + b + j, bi);
+    L::store(re + c + j, cr), L::store(im + c + j, ci);
+    L::store(re + d + j, dr), L::store(im + d + j, di);
+  }
+}
+
+// Every radix-2 stage of fft_batch_bitreversed, in lane groups of L plus a
+// scalar tail of the batch.  fft_impl restarts the twiddle recurrence from
+// (1, 0) in every group, so the k-th twiddle of a stage is the same in every
+// group: running the recurrence once per stage into a table reproduces it.
+// Stages run in fused pairs (one single stage first when their count is
+// odd), which halves the passes over the planes.
+template <typename L>
+void batch_stages(double* re, double* im, std::size_t n, std::size_t batch) {
+  // Stage len's len/2 twiddles, interleaved [wr, wi], at offset len - 2.
+  util::Scratch<double> tw{2 * n};
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    double wlr, wli;
+    stage_root(len, false, wlr, wli);
+    double wr = 1.0, wi = 0.0;
+    double* t = tw.data() + len - 2;
+    for (std::size_t k = 0; k < len / 2; ++k) {
+      t[2 * k] = wr;
+      t[2 * k + 1] = wi;
+      twiddle_step(wr, wi, wlr, wli);
+    }
+  }
+  const std::size_t body = batch / L::kLanes * L::kLanes;
+  std::size_t len = 2;
+  if (std::countr_zero(n) % 2 == 1) {
+    for (std::size_t i = 0; i < n; i += 2) {
+      stage_rows<L>(re, im, i * batch, (i + 1) * batch, body, tw.data());
+      stage_rows<ScalarLanes>(re + body, im + body, i * batch, (i + 1) * batch,
+                              batch - body, tw.data());
+    }
+    len = 4;
+  }
+  for (; 2 * len <= n; len *= 4) {
+    const std::size_t half = len / 2;
+    const double* t1 = tw.data() + len - 2;
+    const double* t2 = tw.data() + 2 * len - 2;
+    for (std::size_t i = 0; i < n; i += 2 * len) {
+      for (std::size_t k = 0; k < half; ++k) {
+        const std::size_t a = (i + k) * batch;
+        const std::size_t b = a + half * batch;
+        const std::size_t c = a + len * batch;
+        const std::size_t d = c + half * batch;
+        const double* w1 = t1 + 2 * k;
+        const double* w2 = t2 + 2 * k;
+        const double* w3 = t2 + 2 * (k + half);
+        stage_pair_rows<L>(re, im, a, b, c, d, body, w1, w2, w3);
+        stage_pair_rows<ScalarLanes>(re + body, im + body, a, b, c, d,
+                                     batch - body, w1, w2, w3);
+      }
+    }
+  }
+}
+
 void fft_impl(std::span<std::complex<double>> a, bool inverse) {
   const std::size_t n = a.size();
   if (!is_pow2(n)) throw std::invalid_argument{"fft: size must be a power of two"};
@@ -246,10 +388,8 @@ void fft_impl(std::span<std::complex<double>> a, bool inverse) {
   const bool vec =
       util::simd::kDoubleLanes >= 4 && util::simd_enabled();
   for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double ang =
-        2.0 * std::numbers::pi / static_cast<double>(len) * (inverse ? 1.0 : -1.0);
-    const double wlr = std::cos(ang);
-    const double wli = std::sin(ang);
+    double wlr, wli;
+    stage_root(len, inverse, wlr, wli);
     if (vec)
       butterflies_vector(d, n, len, wlr, wli);
     else
@@ -286,6 +426,24 @@ void fft_impl_f32(std::span<std::complex<float>> a) {
 }
 
 }  // namespace
+
+void fft_batch_bitreversed(std::span<double> re, std::span<double> im,
+                           std::size_t n, std::size_t batch) {
+  if (!is_pow2(n)) throw std::invalid_argument{"fft: size must be a power of two"};
+  if (re.size() != n * batch || im.size() != n * batch)
+    throw std::invalid_argument{"fft_batch_bitreversed: planes must hold n * batch"};
+  if (batch == 0) return;
+  if (util::simd_enabled())
+    batch_stages<VectorLanes>(re.data(), im.data(), n, batch);
+  else
+    batch_stages<ScalarLanes>(re.data(), im.data(), n, batch);
+}
+
+std::span<const std::size_t> fft_bit_reversal(std::size_t n) {
+  if (!is_pow2(n)) throw std::invalid_argument{"fft: size must be a power of two"};
+  // The cache owns every plan for the life of the process.
+  return get_plan(n)->rev;
+}
 
 void fft(std::vector<std::complex<double>>& data) { fft_impl(data, false); }
 void ifft(std::vector<std::complex<double>>& data) { fft_impl(data, true); }

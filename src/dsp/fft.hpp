@@ -21,6 +21,25 @@ void ifft(std::vector<std::complex<double>>& data);
 void fft_inplace(std::span<std::complex<double>> data);
 void ifft_inplace(std::span<std::complex<double>> data);
 
+// Forward transforms of `batch` signals of length n at once, stored
+// structure-of-arrays: element k of transform b sits at re[k * batch + b] and
+// im[k * batch + b], so SIMD lanes span transforms.  The planes must already
+// hold every input in BIT-REVERSED order — row k holds input sample rev[k],
+// with rev from fft_bit_reversal(n) — so a caller that builds its inputs
+// (stft's windowed frames) writes them straight into place.  Each transform
+// is bitwise equal to fft_inplace of the same input: the butterflies use the
+// same per-element formula and the same twiddle recurrence (run once per
+// stage and broadcast across the batch), on the vector and scalar backends
+// alike.  n must be a power of two and both planes n * batch long (throws
+// std::invalid_argument otherwise).
+void fft_batch_bitreversed(std::span<double> re, std::span<double> im,
+                           std::size_t n, std::size_t batch);
+
+// The memoized bit-reversal permutation for size n (a power of two; throws
+// otherwise): one FFT plan lookup.  Plans are never evicted, so the span
+// stays valid for the life of the process.
+std::span<const std::size_t> fft_bit_reversal(std::size_t n);
+
 // Single-precision forward transform for the opt-in float32 serving path
 // (SB_PRECISION=f32; see DESIGN.md "Inference plan").  Shares the memoized
 // bit-reversal plan with the double transform and adds a per-stage float

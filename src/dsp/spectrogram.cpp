@@ -11,6 +11,13 @@
 #include "util/thread_pool.hpp"
 
 namespace sb::dsp {
+namespace {
+
+// Frames per batched-FFT chunk of the exact path.  Fixed, never derived from
+// the thread count; 16 covers the signature's 14-frame grid in one chunk.
+constexpr std::size_t kStftFrameGrain = 16;
+
+}  // namespace
 
 Spectrogram stft(std::span<const double> signal, const StftConfig& config) {
   obs::ScopedSpan span{"stft", obs::Stage::kStft};
@@ -31,10 +38,8 @@ Spectrogram stft(std::span<const double> signal, const StftConfig& config) {
     out.num_frames = (signal.size() - config.frame_size) / config.hop_size + 1;
   out.mags.resize(out.num_frames * out.num_bins);
 
-  // Frames are independent and write disjoint rows of the magnitude matrix.
-  // Per-chunk scratch (frame + complex FFT buffer) comes from the workspace
-  // pool; fft_inplace replaces the allocating fft_real (frame_size is
-  // already a power of two, so the transform length equals the frame).
+  // Frames are independent and write disjoint rows of the magnitude matrix;
+  // per-chunk scratch comes from the workspace pool.
   if (config.fast_f32) {
     // Float32 fast path: window products computed in double and rounded to
     // float once per sample, single-precision FFT, sqrt magnitudes (std::abs
@@ -63,25 +68,41 @@ Spectrogram stft(std::span<const double> signal, const StftConfig& config) {
     });
     return out;
   }
-  util::parallel_for_ranges(out.num_frames, [&](std::size_t f0, std::size_t f1) {
+  // Exact double path: frames run through the batched FFT kernel, one SIMD
+  // lane per frame, kStftFrameGrain frames per chunk.  Each chunk fills its
+  // structure-of-arrays planes straight from the signal, already windowed and
+  // in bit-reversed order (row k holds frame sample rev[k] times window
+  // coefficient rev[k] — the very product apply_window forms), so every
+  // frame is bitwise what copy -> apply_window -> fft_inplace -> std::abs
+  // gives.  Chunks write disjoint rows, and the fixed grain keeps the plan
+  // lookup count (one per chunk) independent of the thread count.
+  const std::size_t chunks = (out.num_frames + kStftFrameGrain - 1) / kStftFrameGrain;
+  util::parallel_for(chunks, [&](std::size_t c) {
     const std::size_t fsize = config.frame_size;
-    util::Scratch<double> frame{fsize};
-    util::Scratch<double> cbuf{2 * fsize};
-    // std::complex<double> is layout-compatible with double[2].
-    auto* spec = reinterpret_cast<std::complex<double>*>(cbuf.data());
-    for (std::size_t f = f0; f < f1; ++f) {
-      const std::size_t start = f * config.hop_size;
-      std::copy_n(signal.begin() + static_cast<std::ptrdiff_t>(start), fsize,
-                  frame.data());
-      apply_window(frame.span(), *window);
-      for (std::size_t k = 0; k < fsize; ++k)
-        spec[k] = std::complex<double>{frame[k], 0.0};
-      fft_inplace({spec, fsize});
-      double* row = out.mags.data() + f * out.num_bins;
-      for (std::size_t k = 0; k < out.num_bins; ++k)
-        row[k] = std::abs(spec[k]) * norm;
+    const std::size_t f0 = c * kStftFrameGrain;
+    const std::size_t batch = std::min(kStftFrameGrain, out.num_frames - f0);
+    const auto rev = fft_bit_reversal(fsize);
+    const double* win = window->data();
+    const double* first = signal.data() + f0 * config.hop_size;
+    util::Scratch<double> re{fsize * batch};
+    util::Scratch<double> im{fsize * batch};
+    for (std::size_t k = 0; k < fsize; ++k) {
+      const std::size_t src = rev[k];
+      const double w = win[src];
+      double* row = re.data() + k * batch;
+      for (std::size_t b = 0; b < batch; ++b)
+        row[b] = first[b * config.hop_size + src] * w;
     }
-  });
+    std::fill_n(im.data(), fsize * batch, 0.0);
+    fft_batch_bitreversed(re.span(), im.span(), fsize, batch);
+    for (std::size_t b = 0; b < batch; ++b) {
+      double* row = out.mags.data() + (f0 + b) * out.num_bins;
+      for (std::size_t k = 0; k < out.num_bins; ++k)
+        row[k] = std::abs(std::complex<double>{re[k * batch + b],
+                                               im[k * batch + b]}) *
+                 norm;
+    }
+  }, 1);
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "util/scratch.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <new>
 #include <unordered_map>
@@ -15,7 +16,13 @@ constexpr std::align_val_t kAlign{64};
 constexpr std::size_t kPage = 4096;
 // Per-bucket retention cap: bounds worst-case held memory per thread while
 // keeping every steady-state working set (one block per live buffer) warm.
-constexpr std::size_t kMaxPerBucket = 16;
+// The cap is in bytes — kMaxBucketBytes of free blocks, but never fewer than
+// kMinPerBucket blocks — because the number of same-size buffers live at
+// once grows as blocks shrink: a serving shard's pump holds one signature
+// tensor per staged window (dozens of 8 KB blocks), where a training step
+// holds a handful of multi-megabyte ones.
+constexpr std::size_t kMaxBucketBytes = std::size_t{1} << 20;
+constexpr std::size_t kMinPerBucket = 16;
 
 // Requests are rounded up to a bucket so repeated similar-size acquires hit
 // the same free list: powers of two up to a page, then page multiples (pow2
@@ -103,7 +110,7 @@ void pool_release(void* p, std::size_t bytes) noexcept {
     return;
   }
   auto& blocks = tls_pool().lists[bucket];
-  if (blocks.size() >= kMaxPerBucket) {
+  if (blocks.size() >= std::max(kMinPerBucket, kMaxBucketBytes / bucket)) {
     heap_delete(p);
     return;
   }

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "core/dataset.hpp"
 #include "core/flight_lab.hpp"
 #include "core/imu_rca.hpp"
 #include "core/signature.hpp"
+#include "dsp/biquad.hpp"
+#include "dsp/spectrogram.hpp"
+#include "scenario/airframe.hpp"
+#include "util/checksum.hpp"
 #include "test_helpers.hpp"
 
 namespace sb::core {
@@ -255,6 +262,66 @@ TEST(Signature, DeterministicForSameAudio) {
   const auto a = compute_signature(audio, cfg);
   const auto b = compute_signature(audio, cfg);
   for (std::size_t i = 0; i < a.numel(); ++i) EXPECT_FLOAT_EQ(a[i], b[i]);
+}
+
+// Golden pin: the signature of a synthesized x500 window, at the base 0.5 s
+// length (STFT hop below the frame size) and at a 2x time-shift-augmented
+// length (hop above it), is bitwise the one the per-frame STFT and
+// per-channel low-pass produced (CRCs recorded before the front end moved
+// to batched SIMD lanes).  This pins the real configuration independently
+// of the dsp_test reference.  The float features would hide an ulp-level
+// change in the double pipeline, so the double stages they are rounded
+// from — the low-passed mics and their STFT magnitudes — are pinned too.
+TEST(GoldenSignature, X500WindowBitwiseIdenticalToPerFrameFrontEnd) {
+  const scenario::AirframeSpec* x500 = scenario::find_airframe("x500");
+  ASSERT_NE(x500, nullptr);
+  const FlightLab lab{x500->lab_config()};
+  FlightScenario s;
+  s.mission = sim::Mission::line({0, 0, -10}, {15, 0, -10}, 3.0, 6.0);
+  s.wind.mean = {1.0, 0.5, 0.0};
+  s.wind.gust_stddev = 0.4;
+  s.seed = 42;
+  const auto flight = lab.fly(s);
+  const auto synth = lab.synthesizer(flight);
+  const SignatureConfig cfg;
+  struct Crcs {
+    std::uint32_t signature = 0;
+    std::uint32_t front_end = 0;
+  };
+  auto crcs_of = [&](double seconds) {
+    const auto audio = synth.synthesize(flight.log, 3.0, 3.0 + seconds);
+    Crcs crcs;
+    const auto sig = compute_signature(audio, cfg);
+    crcs.signature = util::crc32(sig.flat().data(), sig.numel() * sizeof(float));
+    const std::size_t n = audio.num_samples();
+    std::array<std::vector<double>, sensors::kNumMics> filtered;
+    std::array<std::span<const double>, sensors::kNumMics> in;
+    std::array<std::span<double>, sensors::kNumMics> out;
+    for (std::size_t c = 0; c < sensors::kNumMics; ++c) {
+      filtered[c].resize(n);
+      in[c] = audio.channels[c];
+      out[c] = filtered[c];
+    }
+    dsp::Biquad::low_pass(cfg.lowpass_hz, audio.sample_rate)
+        .cascade_channels(cfg.lowpass_sections, in, out);
+    dsp::StftConfig stft_cfg;
+    stft_cfg.frame_size = cfg.frame_size;
+    stft_cfg.hop_size = (n - cfg.frame_size) / (cfg.target_frames - 1);
+    stft_cfg.sample_rate = audio.sample_rate;
+    for (const auto& ch : filtered) {
+      crcs.front_end = util::crc32(ch.data(), n * sizeof(double), crcs.front_end);
+      const auto spec = dsp::stft(ch, stft_cfg);
+      crcs.front_end = util::crc32(spec.mags.data(),
+                                   spec.mags.size() * sizeof(double), crcs.front_end);
+    }
+    return crcs;
+  };
+  const Crcs base = crcs_of(cfg.window_seconds);
+  EXPECT_EQ(base.signature, 0x2d56d9dbu);
+  EXPECT_EQ(base.front_end, 0xa45a8659u);
+  const Crcs stretched = crcs_of(2.0 * cfg.window_seconds);
+  EXPECT_EQ(stretched.signature, 0x23415238u);
+  EXPECT_EQ(stretched.front_end, 0xf9ac0da1u);
 }
 
 TEST(ImuRca, ResidualWindowsCarryImuRateSamples) {

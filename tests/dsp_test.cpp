@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
+#include <cstring>
+#include <limits>
 #include <numbers>
+#include <string>
 
 #include "dsp/biquad.hpp"
 #include "dsp/features.hpp"
@@ -11,6 +16,7 @@
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sb::dsp {
 namespace {
@@ -173,11 +179,13 @@ INSTANTIATE_TEST_SUITE_P(AllWindows, WindowTypeTest,
 TEST(Stft, FrameCount) {
   StftConfig cfg;
   cfg.frame_size = 256;
-  cfg.hop_size = 128;
   std::vector<double> signal(1024, 0.0);
-  const auto spec = stft(signal, cfg);
-  EXPECT_EQ(spec.num_frames, (1024 - 256) / 128 + 1);
-  EXPECT_EQ(spec.num_bins, 129u);
+  for (const std::size_t hop : {std::size_t{128}, std::size_t{300}}) {
+    cfg.hop_size = hop;
+    const auto spec = stft(signal, cfg);
+    EXPECT_EQ(spec.num_frames, (1024 - 256) / hop + 1);
+    EXPECT_EQ(spec.num_bins, 129u);
+  }
 }
 
 TEST(Stft, ShortSignalYieldsNoFrames) {
@@ -260,6 +268,101 @@ TEST(Stft, FastF32ScalarAndVectorBackendsAreBitwiseIdentical) {
   for (std::size_t i = 0; i < vec.mags.size(); ++i)
     ASSERT_EQ(vec.mags[i], sca.mags[i]) << "cell " << i;
 }
+
+// Test-local per-frame oracle for the exact STFT: copy -> apply_window ->
+// fft_inplace -> std::abs, one frame at a time.
+Spectrogram per_frame_stft(std::span<const double> signal, const StftConfig& cfg) {
+  const auto window = make_window(cfg.window, cfg.frame_size);
+  const double norm = 2.0 / window_sum(window);
+  Spectrogram out;
+  out.num_bins = cfg.frame_size / 2 + 1;
+  if (signal.size() >= cfg.frame_size)
+    out.num_frames = (signal.size() - cfg.frame_size) / cfg.hop_size + 1;
+  out.mags.resize(out.num_frames * out.num_bins);
+  std::vector<double> frame(cfg.frame_size);
+  std::vector<std::complex<double>> spec(cfg.frame_size);
+  for (std::size_t f = 0; f < out.num_frames; ++f) {
+    std::copy_n(signal.begin() + static_cast<std::ptrdiff_t>(f * cfg.hop_size),
+                cfg.frame_size, frame.begin());
+    apply_window(frame, window);
+    for (std::size_t k = 0; k < cfg.frame_size; ++k) spec[k] = {frame[k], 0.0};
+    fft_inplace(spec);
+    for (std::size_t k = 0; k < out.num_bins; ++k)
+      out.at(f, k) = std::abs(spec[k]) * norm;
+  }
+  return out;
+}
+
+// NaN and infinities go to separate inputs: inf - inf makes the default NaN,
+// and which of two NaN payloads an operation returns is the documented
+// multi-NaN boundary of the SIMD contract (util/simd.hpp), not a property
+// of the STFT.  With one NaN source per input every bit is pinned.
+enum class StftInput { kNoise, kNaN, kInf, kZeros };
+
+std::vector<double> stft_input(StftInput kind, std::size_t n, std::uint64_t seed) {
+  std::vector<double> s(n, 0.0);
+  if (kind == StftInput::kZeros) return s;
+  Rng rng{seed};
+  for (auto& v : s) v = rng.normal(0.0, 0.3);
+  if (kind == StftInput::kNaN) s[n / 5] = std::numeric_limits<double>::quiet_NaN();
+  if (kind == StftInput::kInf) {
+    s[n / 5] = std::numeric_limits<double>::infinity();
+    s[n / 2] = -std::numeric_limits<double>::infinity();
+  }
+  return s;
+}
+
+struct StftShape {
+  std::size_t frames;
+  std::size_t hop;
+};
+
+class StftBatchEquivalence : public ::testing::TestWithParam<StftShape> {};
+
+// The batched exact STFT equals the per-frame oracle bitwise for every frame
+// count around the batch grain (1, 3, 14, 15, several chunks), hops below
+// and above the frame size, both SIMD backends, 1 and 4 threads, and inputs
+// carrying a NaN, +-Inf or only zeros.
+TEST_P(StftBatchEquivalence, MatchesPerFrameReferenceBitwise) {
+  const auto [frames, hop] = GetParam();
+  StftConfig cfg;
+  cfg.frame_size = 256;
+  cfg.hop_size = hop;
+  // A tail shorter than one hop, which no frame may read.
+  const std::size_t n = (frames - 1) * hop + cfg.frame_size + hop / 2;
+  for (const auto kind :
+       {StftInput::kNoise, StftInput::kNaN, StftInput::kInf, StftInput::kZeros}) {
+    const auto signal = stft_input(kind, n, 17 + frames);
+    for (const auto backend : {util::SimdBackend::kVector, util::SimdBackend::kScalar}) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "input " << static_cast<int>(kind) << ", backend "
+                     << static_cast<int>(backend) << ", threads " << threads);
+        SimdBackendGuard simd{backend};
+        util::ThreadPool::set_threads(threads);
+        const auto got = stft(signal, cfg);
+        util::ThreadPool::set_threads(0);
+        const auto want = per_frame_stft(signal, cfg);
+        ASSERT_EQ(got.num_frames, frames);
+        ASSERT_EQ(got.mags.size(), want.mags.size());
+        EXPECT_EQ(std::memcmp(got.mags.data(), want.mags.data(),
+                              got.mags.size() * sizeof(double)),
+                  0);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FramesAndHops, StftBatchEquivalence,
+    ::testing::Values(StftShape{1, 100}, StftShape{3, 100}, StftShape{14, 100},
+                      StftShape{15, 100}, StftShape{40, 100}, StftShape{1, 300},
+                      StftShape{3, 300}, StftShape{14, 300}, StftShape{15, 300},
+                      StftShape{40, 300}),
+    [](const auto& info) {
+      return "F" + std::to_string(info.param.frames) + "_hop" +
+             std::to_string(info.param.hop);
+    });
 
 TEST(Biquad, LowPassAttenuatesHighFrequency) {
   Biquad lp = Biquad::low_pass(1000.0, 16000.0);

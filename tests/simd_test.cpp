@@ -5,24 +5,30 @@
 //   * matmul_nn vector vs scalar backend on ragged shapes (k in {0,1},
 //     non-multiple-of-lane N, non-multiple-of-tile M, strided sub-blocks) —
 //     bitwise, not approximately,
-//   * FFT butterflies across sizes, forward and inverse,
+//   * FFT butterflies across sizes, forward and inverse, and the
+//     structure-of-arrays batch kernel against per-transform fft_inplace,
+//   * the channel-lane biquad low-pass against per-channel cascades,
 //   * elementwise layers (ReLU, BatchNorm, ResidualBlock's post-sum ReLU)
 //     fed NaN/infinity/denormal inputs — the vector masks must keep the
 //     exact scalar special-value behaviour,
 //   * apply_window + the cached_window plan cache,
 //   * end-to-end training fingerprints across backend x thread-count,
 //   * the steady-state zero-allocation contract of the workspace pool on
-//     the prepare_signature -> predict_prepared serving path.
+//     the prepare_signature -> predict_prepared serving path, and on a
+//     scheduler pump serving more sessions than a bucket held blocks.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <deque>
 #include <limits>
 #include <vector>
 
 #include "core/sensory_mapper.hpp"
 #include "core/signature.hpp"
+#include "dsp/biquad.hpp"
+#include "dsp/features.hpp"
 #include "dsp/fft.hpp"
 #include "dsp/window.hpp"
 #include "ml/conv.hpp"
@@ -32,6 +38,8 @@
 #include "ml/plan.hpp"
 #include "ml/tensor.hpp"
 #include "ml/trainer.hpp"
+#include "stream/inference_scheduler.hpp"
+#include "stream/rca_session.hpp"
 #include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
@@ -242,6 +250,104 @@ TEST(SimdFftTest, F32ForwardBitIdenticalAcrossBackends) {
     };
     expect_bits_equal(run(util::SimdBackend::kVector),
                       run(util::SimdBackend::kScalar), "fft_f32");
+  }
+}
+
+// The structure-of-arrays batch kernel: every transform of the batch must be
+// bitwise fft_inplace of the same input, on both backends, for batch widths
+// that fill whole vectors, leave a scalar tail, or hold a single transform.
+TEST(SimdFftTest, BatchKernelMatchesPerTransformFftBitwise) {
+  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{8},
+                        std::size_t{64}, std::size_t{1024}}) {
+    for (std::size_t batch : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                              std::size_t{5}, std::size_t{8}}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " batch=" << batch);
+      Rng rng{9200 + 16 * n + batch};
+      std::vector<std::vector<std::complex<double>>> inputs(batch);
+      for (auto& x : inputs) {
+        x.resize(n);
+        for (auto& z : x) z = {rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
+      }
+      // Special values in the first transform's first samples.
+      if (n >= 4) {
+        inputs[0][1] = {std::numeric_limits<double>::infinity(), 0.0};
+        inputs[0][2] = {-0.0, -std::numeric_limits<double>::infinity()};
+        inputs[0][3] = {std::numeric_limits<double>::denorm_min(), -0.0};
+      }
+      for (const auto backend :
+           {util::SimdBackend::kVector, util::SimdBackend::kScalar}) {
+        SimdBackendGuard guard{backend};
+        const auto rev = dsp::fft_bit_reversal(n);
+        std::vector<double> re(n * batch), im(n * batch);
+        for (std::size_t k = 0; k < n; ++k)
+          for (std::size_t b = 0; b < batch; ++b) {
+            re[k * batch + b] = inputs[b][rev[k]].real();
+            im[k * batch + b] = inputs[b][rev[k]].imag();
+          }
+        dsp::fft_batch_bitreversed(re, im, n, batch);
+        for (std::size_t b = 0; b < batch; ++b) {
+          auto expected = inputs[b];
+          dsp::fft_inplace(expected);
+          std::vector<double> want(2 * n), got(2 * n);
+          for (std::size_t k = 0; k < n; ++k) {
+            want[2 * k] = expected[k].real();
+            want[2 * k + 1] = expected[k].imag();
+            got[2 * k] = re[k * batch + b];
+            got[2 * k + 1] = im[k * batch + b];
+          }
+          expect_bits_equal(got, want, "batched fft");
+        }
+      }
+    }
+  }
+  std::vector<double> re(12), im(12);
+  EXPECT_THROW(dsp::fft_batch_bitreversed(re, im, 6, 2), std::invalid_argument);
+  EXPECT_THROW(dsp::fft_batch_bitreversed(re, im, 8, 2), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Biquad low-pass with channels in lanes.
+
+TEST(SimdBiquadTest, ChannelLaneLowPassMatchesPerChannelCascadeBitwise) {
+  constexpr double kFs = 16000.0;
+  const dsp::Biquad section = dsp::Biquad::low_pass(dsp::kPipelineCutoffHz, kFs);
+  // 4 channels fill one lane block; 1, 3, 5 and 6 leave unused lanes and
+  // span a second block.
+  for (std::size_t channels : {std::size_t{1}, std::size_t{3}, std::size_t{4},
+                               std::size_t{5}, std::size_t{6}}) {
+    for (int sections : {1, 2, 3}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "channels=" << channels << " sections=" << sections);
+      Rng rng{9300 + channels};
+      const std::size_t n = 777;
+      std::vector<std::vector<double>> in(channels, std::vector<double>(n));
+      for (auto& ch : in)
+        for (auto& x : ch) x = rng.normal(0.0, 0.5);
+      // Infinities (whose inf - inf makes the default NaN) and an input NaN
+      // go to different channels: a recurrence mixing two NaN payloads is
+      // the documented multi-NaN boundary, where scalar builds may differ.
+      in[channels - 1][50] = std::numeric_limits<double>::infinity();
+      in[channels - 1][60] = -std::numeric_limits<double>::infinity();
+      if (channels > 1) in[0][100] = std::numeric_limits<double>::quiet_NaN();
+      if (channels > 2) std::fill(in[1].begin(), in[1].end(), 0.0);
+
+      std::vector<std::vector<double>> want(channels, std::vector<double>(n));
+      for (std::size_t c = 0; c < channels; ++c) {
+        auto cascade = dsp::BiquadCascade::low_pass(dsp::kPipelineCutoffHz, kFs,
+                                                    sections);
+        cascade.process_into(in[c], want[c]);
+      }
+      for (const auto backend :
+           {util::SimdBackend::kVector, util::SimdBackend::kScalar}) {
+        SimdBackendGuard guard{backend};
+        std::vector<std::vector<double>> got(channels, std::vector<double>(n));
+        std::vector<std::span<const double>> in_spans(in.begin(), in.end());
+        std::vector<std::span<double>> out_spans(got.begin(), got.end());
+        section.cascade_channels(sections, in_spans, out_spans);
+        for (std::size_t c = 0; c < channels; ++c)
+          expect_bits_equal(got[c], want[c], "channel-lane low-pass");
+      }
+    }
   }
 }
 
@@ -499,6 +605,76 @@ TEST(WorkspaceTest, ServingSteadyStateMakesNoHeapAllocations) {
         << ml::to_string(precision) << ")";
   }
   ml::set_plan_precision(saved);
+}
+
+// A serving pump holds every staged window's signature tensor at once — one
+// same-size pool block per session — and releases them together after the
+// forward.  With more sessions than a fixed per-bucket block cap, the
+// surplus blocks went back to the heap after every pump and were fetched
+// again by the next one.
+TEST(WorkspaceTest, ManySessionPumpMakesNoHeapAllocations) {
+  ThreadCountGuard pool{1};
+  core::SensoryMapperConfig cfg;
+  cfg.model = ml::ModelKind::kMlp;
+  cfg.dataset.stride = 0.5;
+  cfg.train.epochs = 1;
+  core::SensoryMapper mapper{cfg};
+  const core::Flight flight = test::hover_flight(12.0, 7);
+  const std::vector<core::Flight> flights{flight};
+  mapper.fit(test::lab(), flights);
+  core::ImuRcaDetector imu{core::ImuRcaConfig{}};
+  core::GpsRcaDetector gps{core::GpsRcaConfig{}};
+  const auto preds = mapper.predict_flight(test::lab(), flight);
+  imu.calibrate(core::ImuRcaDetector::residuals(flight, preds));
+  for (const auto mode :
+       {core::GpsDetectorMode::kAudioOnly, core::GpsDetectorMode::kAudioImu}) {
+    const std::vector<core::GpsRcaDetector::Result> results{
+        gps.analyze(flight, preds, mode)};
+    gps.calibrate(results, mode);
+  }
+  const auto audio =
+      test::lab().synthesizer(flight).synthesize(flight.log, 0.0, 12.0);
+
+  constexpr std::size_t kSessions = 20;
+  std::deque<stream::RcaSession> sessions;
+  stream::InferenceScheduler sched{mapper, {.max_batch = kSessions}};
+  for (std::size_t id = 0; id < kSessions; ++id) {
+    sessions.emplace_back(id, mapper, imu, gps);
+    sessions.back().push_imu(flight.log.imu);
+    sessions.back().push_gps(flight.log.gps);
+    sched.attach(sessions.back());
+  }
+  // One stride of audio per session per round, then one pump: every round
+  // after the first window stages one window per session, all served by
+  // that pump's single forward.
+  const auto stride = static_cast<std::size_t>(cfg.dataset.stride * audio.sample_rate);
+  const std::size_t rounds = audio.num_samples() / stride;
+  auto& heap_allocs = obs::Registry::instance().counter("ml.workspace.heap_allocs");
+  std::uint64_t before = 0;
+  std::size_t measured_windows = 0;
+  for (std::size_t round = 0; round < rounds; ++round) {
+    // The first half warms the pool; the second half must not touch the heap.
+    const bool measured = round >= rounds / 2;
+    if (round == rounds / 2) before = heap_allocs.value();
+    const auto first = static_cast<std::ptrdiff_t>(round * stride);
+    acoustics::MultiChannelAudio chunk;
+    chunk.sample_rate = audio.sample_rate;
+    for (std::size_t c = 0; c < sensors::kNumMics; ++c)
+      chunk.channels[c].assign(audio.channels[c].begin() + first,
+                               audio.channels[c].begin() + first +
+                                   static_cast<std::ptrdiff_t>(stride));
+    for (auto& session : sessions) session.push_audio(chunk);
+    const std::size_t inferred = sched.pump();
+    if (measured) {
+      ASSERT_EQ(inferred, kSessions) << "round " << round;
+      measured_windows += inferred;
+    }
+    for (auto& session : sessions) (void)session.poll_verdicts();
+  }
+  ASSERT_GE(measured_windows, 4 * kSessions);
+  EXPECT_EQ(heap_allocs.value(), before)
+      << "steady-state pumps of " << kSessions
+      << " sessions took pool blocks from the heap";
 }
 
 }  // namespace
