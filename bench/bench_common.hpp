@@ -1,5 +1,6 @@
 // Shared experiment rig for the bench harnesses: the standard training
-// corpus, the benign/attack test flight sets, and the calibrated detectors.
+// corpus, the benign/attack test flight sets, the calibrated detectors, the
+// workload env knobs and the streaming-feed helpers of the serving bench.
 //
 // Workload scale note: the paper's flights are 1-3 minutes on a physical
 // testbed; the benches use 25-60 s simulated flights so the whole suite runs
@@ -18,6 +19,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <span>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,6 +36,7 @@
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "stream/rca_session.hpp"
 #include "util/simd.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -45,9 +49,9 @@ namespace sb::bench {
 //   --threads N   worker count (same effect as SB_THREADS=N)
 //   --repeat N    run the measured phase N times; reports carry the median
 //                 wall clock (benches that support it call repeat_median)
-//   --plan P      serving inference-plan precision: off (raw layer graph),
-//                 f64 (exact compiled plan, the default) or f32 (folded
-//                 fast plan) — same switch as SB_PRECISION
+//   --plan P      serving inference-plan precision: f64 (exact compiled
+//                 plan, the default) or f32 (folded fast plan) — same
+//                 switch as SB_PRECISION
 //   --out-dir D   directory for BENCH_/TRACE_ JSON reports (default: next
 //                 to the binary)
 //   --help        usage
@@ -84,7 +88,7 @@ inline void bench_init(int& argc, char** argv, bool allow_unknown = false) {
           "  --seed N     offset added to every scenario seed\n"
           "  --threads N  worker threads (equivalent to SB_THREADS=N)\n"
           "  --repeat N   repeat the measured phase N times, report the median\n"
-          "  --plan P     serving plan precision: off|f64|f32 (same as "
+          "  --plan P     serving plan precision: f64|f32 (same as "
           "SB_PRECISION)\n"
           "  --out-dir D  directory for BENCH_*/TRACE_* reports\n",
           argv[0]);
@@ -114,7 +118,7 @@ inline void bench_init(int& argc, char** argv, bool allow_unknown = false) {
       const char* value = need_value(i);
       ml::PlanPrecision precision{};
       if (!ml::parse_plan_precision(value, precision)) {
-        std::fprintf(stderr, "%s: --plan must be off, f64 or f32 (got '%s')\n",
+        std::fprintf(stderr, "%s: --plan must be f64 or f32 (got '%s')\n",
                      argv[0], value);
         std::exit(2);
       }
@@ -136,6 +140,37 @@ inline void bench_init(int& argc, char** argv, bool allow_unknown = false) {
   }
   argc = out;
   argv[argc] = nullptr;
+}
+
+// Workload knobs read from the environment, so a CI smoke job can shrink a
+// run without recompiling.  SB_BENCH_TINY=1 selects the tiny model and short
+// flights.
+inline bool tiny_mode() {
+  const char* v = std::getenv("SB_BENCH_TINY");
+  return v != nullptr && *v && *v != '0';
+}
+
+inline double env_double(const char* name, double fallback) {
+  const char* v = std::getenv(name);
+  return v != nullptr && *v ? std::strtod(v, nullptr) : fallback;
+}
+
+// A count knob (sessions, shards, a grid entry): an integer >= 1, or the
+// bench exits 2 with a message — like --threads — before doing any work.
+inline std::size_t parse_count(const char* what, const std::string& text) {
+  char* end = nullptr;
+  const long long n = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || n < 1) {
+    std::fprintf(stderr, "%s must be an integer >= 1 (got '%s')\n", what,
+                 text.c_str());
+    std::exit(2);
+  }
+  return static_cast<std::size_t>(n);
+}
+
+inline std::size_t env_count(const char* name, std::size_t fallback) {
+  const char* v = std::getenv(name);
+  return v != nullptr && *v ? parse_count(name, v) : fallback;
 }
 
 // Wall-clock stopwatch for the bench reports.
@@ -515,6 +550,84 @@ inline CalibratedDetectors calibrate_detectors(const core::SensoryMapper& mapper
   det.gps.calibrate(audio_results, core::GpsDetectorMode::kAudioOnly);
   det.gps.calibrate(fused_results, core::GpsDetectorMode::kAudioImu);
   return det;
+}
+
+// The tiny serving model: an MLP trained for two epochs on a handful of
+// short flights — enough to exercise every serving code path in seconds,
+// cached under its own tag.
+inline core::SensoryMapper tiny_serving_mapper() {
+  core::SensoryMapperConfig cfg;
+  cfg.model = ml::ModelKind::kMlp;
+  cfg.train.epochs = 2;
+  core::SensoryMapper m{cfg};
+  const auto flights = lab().fly_all(lab().training_scenarios(1, 12.0));
+  fit_cached(m, "stream_tiny", flights);
+  return m;
+}
+
+// A pre-rendered flight feed (the whole continuous capture) and one
+// session's read cursors into it: many sessions can share one feed.
+struct Feed {
+  core::Flight flight;
+  acoustics::MultiChannelAudio audio;
+};
+
+struct FeedCursor {
+  std::size_t feed = 0;
+  std::size_t audio = 0;
+  std::size_t imu = 0;
+  std::size_t gps = 0;
+};
+
+inline acoustics::MultiChannelAudio slice_audio(
+    const acoustics::MultiChannelAudio& full, std::size_t begin,
+    std::size_t end) {
+  acoustics::MultiChannelAudio chunk;
+  chunk.sample_rate = full.sample_rate;
+  for (std::size_t c = 0; c < sensors::kNumMics; ++c)
+    chunk.channels[c].assign(full.channels[c].begin() + begin,
+                             full.channels[c].begin() + end);
+  return chunk;
+}
+
+// Pushes everything with t < until (audio by sample index) and advances the
+// cursor — the "what arrived since the last tick" slice of each stream.
+inline void push_until(stream::RcaSession& session, const Feed& feed,
+                       FeedCursor& cur, double until) {
+  const auto upto = static_cast<std::size_t>(
+      std::min(until * feed.audio.sample_rate,
+               static_cast<double>(feed.audio.num_samples())));
+  if (upto > cur.audio) {
+    session.push_audio(slice_audio(feed.audio, cur.audio, upto));
+    cur.audio = upto;
+  }
+  const auto& imu = feed.flight.log.imu;
+  std::size_t i = cur.imu;
+  while (i < imu.size() && imu[i].t < until) ++i;
+  session.push_imu(std::span{imu}.subspan(cur.imu, i - cur.imu));
+  cur.imu = i;
+  const auto& gps = feed.flight.log.gps;
+  std::size_t g = cur.gps;
+  while (g < gps.size() && gps[g].t < until) ++g;
+  session.push_gps(std::span{gps}.subspan(cur.gps, g - cur.gps));
+  cur.gps = g;
+}
+
+// Self-check of an emitted report: valid JSON whose metrics objects are
+// well formed.  Benches gate their exit code on it.
+inline bool validate_json_file(const std::filesystem::path& path) {
+  std::ifstream is{path};
+  if (!is) {
+    std::fprintf(stderr, "cannot reopen %s\n", path.c_str());
+    return false;
+  }
+  std::ostringstream ss;
+  ss << is.rdbuf();
+  if (!obs::json_valid(ss.str()) || !obs::metrics_json_wellformed(ss.str())) {
+    std::fprintf(stderr, "%s is not valid JSON\n", path.c_str());
+    return false;
+  }
+  return true;
 }
 
 }  // namespace sb::bench

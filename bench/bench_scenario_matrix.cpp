@@ -31,17 +31,12 @@ using namespace sb;
 
 namespace {
 
-bool tiny_mode() {
-  const char* v = std::getenv("SB_BENCH_TINY");
-  return v != nullptr && *v && *v != '0';
-}
-
 scenario::ScenarioSetConfig matrix_config() {
   scenario::ScenarioSetConfig cfg;
   cfg.airframes = scenario::airframe_catalog();
   cfg.environments = scenario::environment_catalog();
   cfg.seed = 1 + bench::bench_args().seed_offset;
-  if (tiny_mode()) {
+  if (bench::tiny_mode()) {
     cfg.airframes.resize(2);
     cfg.environments.resize(2);
     cfg.train_repeats = 2;
@@ -55,7 +50,7 @@ scenario::ScenarioSetConfig matrix_config() {
 
 core::SensoryMapperConfig mapper_config() {
   auto cfg = bench::standard_mapper_config();
-  if (tiny_mode()) cfg.train.epochs = 4;
+  if (bench::tiny_mode()) cfg.train.epochs = 4;
   return cfg;
 }
 
@@ -228,7 +223,7 @@ int main(int argc, char** argv) {
 
     Table table({"split", "airframe", "TPR", "FPR", "attacks", "benign"});
     const std::string seed_tag = std::to_string(set_cfg.seed) +
-                                 (tiny_mode() ? "_tiny" : "");
+                                 (bench::tiny_mode() ? "_tiny" : "");
     try {
       // Flight-disjoint: one shared model, scored per airframe.
       const auto fd = set.flight_disjoint_split();
@@ -257,7 +252,7 @@ int main(int argc, char** argv) {
 
       // Cross-airframe column: leave-one-airframe-out, each airframe scored
       // by a model that never trained on it.
-      if (!tiny_mode()) {
+      if (!bench::tiny_mode()) {
         Tally cross;
         for (std::size_t holdout = 0; holdout < n_air; ++holdout) {
           const auto loao = set.airframe_disjoint_split(static_cast<int>(holdout));

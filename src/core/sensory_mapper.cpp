@@ -79,10 +79,7 @@ void SensoryMapper::ensure_plan(ml::PlanPrecision precision) const {
 }
 
 ml::Tensor SensoryMapper::serving_forward(const ml::Tensor& batch) const {
-  const ml::PlanPrecision precision = ml::plan_precision();
-  if (precision == ml::PlanPrecision::kOff)
-    return model_->forward(batch, false);
-  ensure_plan(precision);
+  ensure_plan(ml::plan_precision());
   return plan_->forward(batch);
 }
 
@@ -93,8 +90,7 @@ void SensoryMapper::warm_serving() const {
   const auto& sig = config_.dataset.signature;
   dsp::warm_fft_plan(sig.frame_size);
   (void)dsp::cached_window(dsp::WindowType::kHann, sig.frame_size);
-  const ml::PlanPrecision precision = ml::plan_precision();
-  if (trained_ && precision != ml::PlanPrecision::kOff) ensure_plan(precision);
+  if (trained_) ensure_plan(ml::plan_precision());
 }
 
 void SensoryMapper::fit_output_calibration(const ml::RegressionDataset& data) {

@@ -177,7 +177,7 @@ class SensoryMapper {
 
   // Eval forward for serving: routes through the compiled inference plan at
   // the process precision (ml::plan_precision()), building or rebuilding it
-  // lazily; falls back to the raw layer graph when the precision is off.
+  // lazily.
   ml::Tensor serving_forward(const ml::Tensor& batch) const;
   void ensure_plan(ml::PlanPrecision precision) const;
 

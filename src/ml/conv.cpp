@@ -12,16 +12,14 @@
 namespace sb::ml {
 namespace {
 
-ConvBackend g_backend = ConvBackend::kGemm;
-
 std::size_t out_dim(std::size_t in, std::size_t k, std::size_t stride, std::size_t pad) {
   return (in + 2 * pad - k) / stride + 1;
 }
 
 // Unfolds one [C, H, W] input plane stack into the patch matrix
 // col[(c*k + ky)*k + kx][oy*ow + ox], zero-filling padding.  Row order
-// (c, ky, kx) matches the direct loop's accumulation order, so GEMM over
-// these rows reproduces the reference convolution's floating-point sums.
+// (c, ky, kx) matches a direct loop's accumulation order, so GEMM over
+// these rows reproduces the direct convolution's floating-point sums.
 void im2col(const float* x, std::size_t channels, std::size_t h, std::size_t w,
             std::size_t ksize, std::size_t stride, std::size_t pad, std::size_t oh,
             std::size_t ow, float* col) {
@@ -84,9 +82,6 @@ void col2im_add(const float* col, std::size_t channels, std::size_t h, std::size
 
 }  // namespace
 
-ConvBackend conv_backend() { return g_backend; }
-void set_conv_backend(ConvBackend backend) { g_backend = backend; }
-
 Conv2D::Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
                std::size_t stride, std::size_t padding, Rng& rng)
     : in_c_(in_channels),
@@ -106,11 +101,6 @@ Tensor Conv2D::forward(const Tensor& x, bool /*train*/) {
   const std::size_t oh = out_dim(h, k_, stride_, pad_);
   const std::size_t ow = out_dim(w, k_, stride_, pad_);
   Tensor y({n, out_c_, oh, ow});
-  if (g_backend == ConvBackend::kReference) {
-    forward_reference(x, y, n, h, w, oh, ow);
-    return y;
-  }
-
   const std::size_t kdim = in_c_ * k_ * k_;
   const std::size_t patches = oh * ow;
   util::parallel_for_ranges(
@@ -137,51 +127,11 @@ bool Conv2D::compile(PlanBuilder& builder) {
   return true;
 }
 
-void Conv2D::forward_reference(const Tensor& x, Tensor& y, std::size_t n,
-                               std::size_t h, std::size_t w, std::size_t oh,
-                               std::size_t ow) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t oc = 0; oc < out_c_; ++oc) {
-      float* py = y.data() + ((i * out_c_ + oc) * oh) * ow;
-      const float b = bias_.value[oc];
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          float s = b;
-          for (std::size_t ic = 0; ic < in_c_; ++ic) {
-            const float* px = x.data() + ((i * in_c_ + ic) * h) * w;
-            const float* pw = weight_.value.data() + ((oc * in_c_ + ic) * k_) * k_;
-            for (std::size_t ky = 0; ky < k_; ++ky) {
-              const std::ptrdiff_t iy =
-                  static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-                  static_cast<std::ptrdiff_t>(pad_);
-              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-              for (std::size_t kx = 0; kx < k_; ++kx) {
-                const std::ptrdiff_t ix =
-                    static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                    static_cast<std::ptrdiff_t>(pad_);
-                if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-                s += pw[ky * k_ + kx] *
-                     px[static_cast<std::size_t>(iy) * w + static_cast<std::size_t>(ix)];
-              }
-            }
-          }
-          py[oy * ow + ox] = s;
-        }
-      }
-    }
-  }
-}
-
 Tensor Conv2D::backward(const Tensor& grad_out) {
   const Tensor& x = cached_x_;
   const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const std::size_t oh = grad_out.dim(2), ow = grad_out.dim(3);
   Tensor grad_in(x.shape());
-  if (g_backend == ConvBackend::kReference) {
-    backward_reference(grad_out, grad_in, n, h, w, oh, ow);
-    return grad_in;
-  }
-
   const std::size_t kdim = in_c_ * k_ * k_;
   const std::size_t patches = oh * ow;
   // dX operand: weight^T packed [kdim, outC], rebuilt only when the weights
@@ -233,46 +183,6 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
   return grad_in;
 }
 
-void Conv2D::backward_reference(const Tensor& grad_out, Tensor& grad_in,
-                                std::size_t n, std::size_t h, std::size_t w,
-                                std::size_t oh, std::size_t ow) {
-  const Tensor& x = cached_x_;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t oc = 0; oc < out_c_; ++oc) {
-      const float* g = grad_out.data() + ((i * out_c_ + oc) * oh) * ow;
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          const float gv = g[oy * ow + ox];
-          if (gv == 0.0f) continue;
-          bias_.grad[oc] += gv;
-          for (std::size_t ic = 0; ic < in_c_; ++ic) {
-            const float* px = x.data() + ((i * in_c_ + ic) * h) * w;
-            float* gx = grad_in.data() + ((i * in_c_ + ic) * h) * w;
-            const float* pw = weight_.value.data() + ((oc * in_c_ + ic) * k_) * k_;
-            float* gw = weight_.grad.data() + ((oc * in_c_ + ic) * k_) * k_;
-            for (std::size_t ky = 0; ky < k_; ++ky) {
-              const std::ptrdiff_t iy =
-                  static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-                  static_cast<std::ptrdiff_t>(pad_);
-              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-              for (std::size_t kx = 0; kx < k_; ++kx) {
-                const std::ptrdiff_t ix =
-                    static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                    static_cast<std::ptrdiff_t>(pad_);
-                if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-                const std::size_t xi =
-                    static_cast<std::size_t>(iy) * w + static_cast<std::size_t>(ix);
-                gw[ky * k_ + kx] += gv * px[xi];
-                gx[xi] += gv * pw[ky * k_ + kx];
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
 DepthwiseConv2D::DepthwiseConv2D(std::size_t channels, std::size_t kernel,
                                  std::size_t stride, std::size_t padding, Rng& rng)
     : c_(channels),
@@ -290,11 +200,6 @@ Tensor DepthwiseConv2D::forward(const Tensor& x, bool /*train*/) {
   const std::size_t oh = out_dim(h, k_, stride_, pad_);
   const std::size_t ow = out_dim(w, k_, stride_, pad_);
   Tensor y({n, c_, oh, ow});
-  if (g_backend == ConvBackend::kReference) {
-    forward_reference(x, y, n, h, w, oh, ow);
-    return y;
-  }
-
   const std::size_t kdim = k_ * k_;
   const std::size_t patches = oh * ow;
   // Each (item, channel) plane is an independent single-filter convolution.
@@ -318,47 +223,11 @@ bool DepthwiseConv2D::compile(PlanBuilder& builder) {
   return true;
 }
 
-void DepthwiseConv2D::forward_reference(const Tensor& x, Tensor& y, std::size_t n,
-                                        std::size_t h, std::size_t w,
-                                        std::size_t oh, std::size_t ow) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t c = 0; c < c_; ++c) {
-      const float* px = x.data() + ((i * c_ + c) * h) * w;
-      const float* pw = weight_.value.data() + (c * k_) * k_;
-      float* py = y.data() + ((i * c_ + c) * oh) * ow;
-      const float b = bias_.value[c];
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          float s = b;
-          for (std::size_t ky = 0; ky < k_; ++ky) {
-            const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-                                      static_cast<std::ptrdiff_t>(pad_);
-            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-            for (std::size_t kx = 0; kx < k_; ++kx) {
-              const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                                        static_cast<std::ptrdiff_t>(pad_);
-              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-              s += pw[ky * k_ + kx] *
-                   px[static_cast<std::size_t>(iy) * w + static_cast<std::size_t>(ix)];
-            }
-          }
-          py[oy * ow + ox] = s;
-        }
-      }
-    }
-  }
-}
-
 Tensor DepthwiseConv2D::backward(const Tensor& grad_out) {
   const Tensor& x = cached_x_;
   const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const std::size_t oh = grad_out.dim(2), ow = grad_out.dim(3);
   Tensor grad_in(x.shape());
-  if (g_backend == ConvBackend::kReference) {
-    backward_reference(grad_out, grad_in, n, h, w, oh, ow);
-    return grad_in;
-  }
-
   const std::size_t kdim = k_ * k_;
   const std::size_t patches = oh * ow;
   Scratch<float> gw_part{n * c_ * kdim};
@@ -394,43 +263,6 @@ Tensor DepthwiseConv2D::backward(const Tensor& grad_out) {
     bias_.grad[c] += gb_part[pair];
   }
   return grad_in;
-}
-
-void DepthwiseConv2D::backward_reference(const Tensor& grad_out, Tensor& grad_in,
-                                         std::size_t n, std::size_t h,
-                                         std::size_t w, std::size_t oh,
-                                         std::size_t ow) {
-  const Tensor& x = cached_x_;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t c = 0; c < c_; ++c) {
-      const float* px = x.data() + ((i * c_ + c) * h) * w;
-      float* gx = grad_in.data() + ((i * c_ + c) * h) * w;
-      const float* pw = weight_.value.data() + (c * k_) * k_;
-      float* gw = weight_.grad.data() + (c * k_) * k_;
-      const float* g = grad_out.data() + ((i * c_ + c) * oh) * ow;
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          const float gv = g[oy * ow + ox];
-          if (gv == 0.0f) continue;
-          bias_.grad[c] += gv;
-          for (std::size_t ky = 0; ky < k_; ++ky) {
-            const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-                                      static_cast<std::ptrdiff_t>(pad_);
-            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-            for (std::size_t kx = 0; kx < k_; ++kx) {
-              const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                                        static_cast<std::ptrdiff_t>(pad_);
-              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-              const std::size_t xi =
-                  static_cast<std::size_t>(iy) * w + static_cast<std::size_t>(ix);
-              gw[ky * k_ + kx] += gv * px[xi];
-              gx[xi] += gv * pw[ky * k_ + kx];
-            }
-          }
-        }
-      }
-    }
-  }
 }
 
 DepthwiseSeparableBlock::DepthwiseSeparableBlock(std::size_t in_channels,

@@ -1,17 +1,13 @@
 // 2-D convolutions: standard and depthwise, plus the residual block used by
-// ResNetLite and the depthwise-separable block used by MobileNetLite.
+// ResNetLite and the depthwise-separable block used by MobileNetLite.  Both
+// convolutions lower to im2col + the shared GEMM kernels (parallel_test pins
+// them against a naive direct-loop oracle).
 #pragma once
 
 #include "ml/layer.hpp"
 #include "ml/layers.hpp"
 
 namespace sb::ml {
-
-// kGemm (default) lowers convolutions to im2col + the shared GEMM kernels;
-// kReference is the original direct loop nest, kept for equivalence tests.
-enum class ConvBackend { kGemm, kReference };
-ConvBackend conv_backend();
-void set_conv_backend(ConvBackend backend);
 
 // Standard convolution: x [N, inC, H, W] -> [N, outC, H', W'].
 class Conv2D final : public Layer {
@@ -28,12 +24,6 @@ class Conv2D final : public Layer {
   }
 
  private:
-  void forward_reference(const Tensor& x, Tensor& y, std::size_t n, std::size_t h,
-                         std::size_t w, std::size_t oh, std::size_t ow) const;
-  void backward_reference(const Tensor& grad_out, Tensor& grad_in, std::size_t n,
-                          std::size_t h, std::size_t w, std::size_t oh,
-                          std::size_t ow);
-
   std::size_t in_c_, out_c_, k_, stride_, pad_;
   Param weight_;  // [outC, inC, k, k]
   Param bias_;    // [outC]
@@ -61,12 +51,6 @@ class DepthwiseConv2D final : public Layer {
   }
 
  private:
-  void forward_reference(const Tensor& x, Tensor& y, std::size_t n, std::size_t h,
-                         std::size_t w, std::size_t oh, std::size_t ow) const;
-  void backward_reference(const Tensor& grad_out, Tensor& grad_in, std::size_t n,
-                          std::size_t h, std::size_t w, std::size_t oh,
-                          std::size_t ow);
-
   std::size_t c_, k_, stride_, pad_;
   Param weight_;  // [C, k, k]
   Param bias_;    // [C]

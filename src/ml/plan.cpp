@@ -32,7 +32,7 @@ PlanPrecision& mutable_precision() {
     const char* env = std::getenv("SB_PRECISION");
     if (env && *env && !parse_plan_precision(env, out)) {
       obs::logf(obs::LogLevel::kWarn, "ml",
-                "SB_PRECISION=%s unrecognized (want off|f64|f32); using f64",
+                "SB_PRECISION=%s unrecognized (want f64|f32); using f64",
                 env);
       out = PlanPrecision::kF64;
     }
@@ -50,7 +50,6 @@ std::atomic<std::uint64_t> g_packed{0};
 
 const char* to_string(PlanPrecision precision) {
   switch (precision) {
-    case PlanPrecision::kOff: return "off";
     case PlanPrecision::kF64: return "f64";
     case PlanPrecision::kF32: return "f32";
   }
@@ -58,7 +57,6 @@ const char* to_string(PlanPrecision precision) {
 }
 
 bool parse_plan_precision(std::string_view text, PlanPrecision& out) {
-  if (text == "off") { out = PlanPrecision::kOff; return true; }
   if (text == "f64") { out = PlanPrecision::kF64; return true; }
   if (text == "f32") { out = PlanPrecision::kF32; return true; }
   return false;
@@ -701,8 +699,6 @@ InferencePlan::~InferencePlan() = default;
 std::unique_ptr<InferencePlan> InferencePlan::compile(
     Layer& model, const std::vector<std::size_t>& item_shape,
     PlanPrecision precision) {
-  if (precision == PlanPrecision::kOff)
-    throw std::logic_error{"InferencePlan::compile: precision off"};
   PlanBuilder builder{item_shape, precision};
   if (!model.compile(builder)) builder.layer_call(&model);
 

@@ -28,8 +28,8 @@
 // the folded fast plan: BatchNorm running stats are folded into the
 // adjacent conv/dense weights (scale computed in double, rounded to
 // float32 once), trading bitwise identity for fewer passes under the
-// tolerance harness in ml_test/integration_test.  `kOff` bypasses the plan
-// entirely.
+// tolerance harness in ml_test/integration_test.  Serving always runs one
+// of the two plans; the raw layer graph is the test oracle only.
 //
 // Threading/workspace contract: op kernels use util::parallel_for* with
 // disjoint writes only (bit-identical at any SB_THREADS); all forward
@@ -49,13 +49,14 @@ namespace sb::ml {
 
 class Layer;
 
-enum class PlanPrecision { kOff, kF64, kF32 };
+enum class PlanPrecision { kF64, kF32 };
 
 const char* to_string(PlanPrecision precision);
-// Parses "off" / "f64" / "f32" (case-sensitive); false on anything else.
+// Parses "f64" / "f32" (case-sensitive); false (and `out` untouched) on
+// anything else.
 bool parse_plan_precision(std::string_view text, PlanPrecision& out);
 
-// Process-wide serving precision: SB_PRECISION env (off|f64|f32, read once,
+// Process-wide serving precision: SB_PRECISION env (f64|f32, read once,
 // default f64) until overridden by set_plan_precision (e.g. bench --plan).
 PlanPrecision plan_precision();
 void set_plan_precision(PlanPrecision precision);

@@ -2,9 +2,9 @@
 //
 // One instruction set is picked at COMPILE time (AVX2 > SSE2 > NEON, with a
 // scalar emulation that always builds — forced via SB_SIMD_FORCE_SCALAR /
-// -DSOUNDBOOST_SIMD=scalar), and a RUNTIME backend toggle (kScalar/kVector,
-// like ml::set_conv_backend) lets one binary run both paths so equivalence
-// tests can compare them in-process.
+// -DSOUNDBOOST_SIMD=scalar), and a RUNTIME backend toggle (kScalar/kVector)
+// lets one binary run both paths so equivalence tests can compare them
+// in-process.
 //
 // Determinism contract (CLAUDE.md): every operation here is a lane-wise
 // IEEE-754 primitive (load/store/broadcast/add/sub/mul, correctly-rounded
@@ -49,9 +49,9 @@
 namespace sb::util {
 
 // ---------------------------------------------------------------------------
-// Runtime backend toggle (process-wide, like ml::ConvBackend).  kVector is
-// the default; SB_SIMD=scalar or set_simd_backend(kScalar) selects the plain
-// scalar loops in every routed kernel.  On a scalar-compiled build the
+// Runtime backend toggle (process-wide).  kVector is the default;
+// SB_SIMD=scalar or set_simd_backend(kScalar) selects the plain scalar
+// loops in every routed kernel.  On a scalar-compiled build the
 // "vector" ops are per-lane loops, so both settings are bitwise-identical by
 // construction there too.
 enum class SimdBackend { kScalar, kVector };

@@ -255,7 +255,7 @@ struct PlanPrecisionGuard {
 
 // The compiled plan packs frozen weights, so load() must invalidate it and
 // serving must rebuild from the LOADED weights: save -> load -> serve via
-// the exact plan has to match the original mapper's raw-graph predictions
+// the exact plan has to match the original mapper's exact-plan predictions
 // bitwise (the exact plan is pinned bitwise-equal to the graph by
 // PlanEquivalence in ml_test; this pins the rebuild-after-load plumbing).
 TEST(Integration, SaveLoadRebuildsInferencePlan) {
@@ -266,10 +266,10 @@ TEST(Integration, SaveLoadRebuildsInferencePlan) {
   ASSERT_TRUE(loaded.load(path));
 
   const auto& f = p.benign.front();
-  std::vector<TimedPrediction> graph, planned;
+  std::vector<TimedPrediction> original, planned;
   {
-    PlanPrecisionGuard off{ml::PlanPrecision::kOff};
-    graph = p.mapper->predict_flight(test::lab(), f);
+    PlanPrecisionGuard exact{ml::PlanPrecision::kF64};
+    original = p.mapper->predict_flight(test::lab(), f);
   }
   {
     PlanPrecisionGuard exact{ml::PlanPrecision::kF64};
@@ -278,21 +278,21 @@ TEST(Integration, SaveLoadRebuildsInferencePlan) {
     EXPECT_EQ(loaded.serving_plan()->precision(), ml::PlanPrecision::kF64);
     planned = loaded.predict_flight(test::lab(), f);
   }
-  ASSERT_EQ(graph.size(), planned.size());
-  for (std::size_t i = 0; i < graph.size(); ++i) {
-    EXPECT_EQ(graph[i].accel.x, planned[i].accel.x) << i;
-    EXPECT_EQ(graph[i].accel.y, planned[i].accel.y) << i;
-    EXPECT_EQ(graph[i].accel.z, planned[i].accel.z) << i;
-    EXPECT_EQ(graph[i].vel.x, planned[i].vel.x) << i;
-    EXPECT_EQ(graph[i].vel.y, planned[i].vel.y) << i;
-    EXPECT_EQ(graph[i].vel.z, planned[i].vel.z) << i;
+  ASSERT_EQ(original.size(), planned.size());
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    EXPECT_EQ(original[i].accel.x, planned[i].accel.x) << i;
+    EXPECT_EQ(original[i].accel.y, planned[i].accel.y) << i;
+    EXPECT_EQ(original[i].accel.z, planned[i].accel.z) << i;
+    EXPECT_EQ(original[i].vel.x, planned[i].vel.x) << i;
+    EXPECT_EQ(original[i].vel.y, planned[i].vel.y) << i;
+    EXPECT_EQ(original[i].vel.z, planned[i].vel.z) << i;
   }
   std::remove(path.c_str());
 }
 
 // The opt-in float32 plan folds BatchNorm into the weights (one rounding
 // per weight), so its predictions drift — but verdicts must agree with the
-// reference path on every fixture flight, and the drift must stay orders
+// exact plan on every fixture flight, and the drift must stay orders
 // of magnitude under the detector thresholds.
 TEST(Integration, F32PlanKeepsVerdictsAndBoundsDrift) {
   const auto& p = pipeline();
@@ -305,7 +305,7 @@ TEST(Integration, F32PlanKeepsVerdictsAndBoundsDrift) {
   for (const auto& f : flights) {
     RcaReport ref, fast;
     {
-      PlanPrecisionGuard off{ml::PlanPrecision::kOff};
+      PlanPrecisionGuard exact{ml::PlanPrecision::kF64};
       ref = engine.analyze(test::lab(), f);
     }
     {
@@ -320,7 +320,7 @@ TEST(Integration, F32PlanKeepsVerdictsAndBoundsDrift) {
   // Component-wise prediction drift on a benign flight.
   std::vector<TimedPrediction> ref, fast;
   {
-    PlanPrecisionGuard off{ml::PlanPrecision::kOff};
+    PlanPrecisionGuard exact{ml::PlanPrecision::kF64};
     ref = p.mapper->predict_flight(test::lab(), flights.back());
   }
   {

@@ -639,6 +639,25 @@ TEST(PlanEquivalence, FoldFuseAndPackCountersTally) {
   }
 }
 
+// Serving always runs a compiled plan, so the precision parser knows exactly
+// the two plan spellings; anything else (the retired "off", empty, wrong
+// case) is rejected with `out` left as it was.
+TEST(PlanPrecisionParse, AcceptsOnlyThePlanSpellings) {
+  PlanPrecision out = PlanPrecision::kF32;
+  ASSERT_TRUE(parse_plan_precision("f64", out));
+  EXPECT_EQ(out, PlanPrecision::kF64);
+  ASSERT_TRUE(parse_plan_precision("f32", out));
+  EXPECT_EQ(out, PlanPrecision::kF32);
+  for (const std::string_view bad : {"off", "", "F32"}) {
+    PlanPrecision untouched = PlanPrecision::kF64;
+    EXPECT_FALSE(parse_plan_precision(bad, untouched)) << "'" << bad << "'";
+    EXPECT_EQ(untouched, PlanPrecision::kF64) << "'" << bad << "'";
+    untouched = PlanPrecision::kF32;
+    EXPECT_FALSE(parse_plan_precision(bad, untouched)) << "'" << bad << "'";
+    EXPECT_EQ(untouched, PlanPrecision::kF32) << "'" << bad << "'";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Data-parallel training engine (DESIGN.md "Training performance"): shard
 // backward passes on replicas must recompose into the full-batch backward,

@@ -2,8 +2,8 @@
 // convolution backend:
 //   * thread-pool semantics (disjoint coverage, deterministic reductions,
 //     nested regions run inline, set_threads override),
-//   * Conv2D / DepthwiseConv2D GEMM backend vs the reference loop nest on
-//     random shapes, forward AND backward,
+//   * Conv2D / DepthwiseConv2D GEMM lowering vs a naive direct-loop oracle
+//     on random shapes, forward AND backward,
 //   * the determinism regression: training the same model at 1 and 4 threads
 //     must produce bit-identical weights and predictions.
 #include <gtest/gtest.h>
@@ -112,7 +112,7 @@ TEST(ThreadPoolTest, SetThreadsOverridesAndRestores) {
 }
 
 // ---------------------------------------------------------------------------
-// GEMM conv backend vs the reference loop nest.
+// GEMM-lowered convolutions vs a naive direct-loop oracle.
 
 Tensor random_tensor(ml::Shape shape, Rng& rng) {
   Tensor t{std::move(shape)};
@@ -133,34 +133,108 @@ struct ConvCase {
   std::size_t n, in_c, out_c, k, stride, pad, h, w;
 };
 
-// Runs forward + backward through `gemm` (kGemm) and `ref` (kReference) on
-// identical inputs and compares outputs, input gradients and param gradients.
-void compare_backends(ml::Layer& gemm, ml::Layer& ref, const Tensor& x,
-                      Rng& grad_rng, const std::string& what) {
-  ml::set_conv_backend(ml::ConvBackend::kGemm);
-  const Tensor y_gemm = gemm.forward(x, true);
-  ml::set_conv_backend(ml::ConvBackend::kReference);
-  const Tensor y_ref = ref.forward(x, true);
-  ml::set_conv_backend(ml::ConvBackend::kGemm);
-  expect_close(y_gemm, y_ref, 1e-5, what + " forward");
+// Naive direct-loop convolution oracle, built from a layer's params()
+// (weight [outC, inC/groups, k, k], bias [outC]).  A depthwise conv is the
+// grouped case with one input channel per output channel.
+struct ConvGeometry {
+  std::size_t k, stride, pad;
+  bool depthwise;
+};
 
-  Tensor grad_out{y_gemm.shape()};
+struct NaiveConvGrads {
+  Tensor grad_in, grad_w, grad_b;
+};
+
+// Calls f(weight index, input index, output index) for every in-bounds
+// multiply of the convolution y = conv(x, w).
+template <typename F>
+void for_each_tap(const Tensor& x, std::size_t out_c, std::size_t oh,
+                  std::size_t ow, const ConvGeometry& g, F&& f) {
+  const std::size_t n = x.dim(0), in_c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::size_t group_in = g.depthwise ? 1 : in_c;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t oc = 0; oc < out_c; ++oc)
+      for (std::size_t oy = 0; oy < oh; ++oy)
+        for (std::size_t ox = 0; ox < ow; ++ox)
+          for (std::size_t j = 0; j < group_in; ++j) {
+            const std::size_t ic = g.depthwise ? oc : j;
+            for (std::size_t ky = 0; ky < g.k; ++ky) {
+              const std::ptrdiff_t iy =
+                  static_cast<std::ptrdiff_t>(oy * g.stride + ky) -
+                  static_cast<std::ptrdiff_t>(g.pad);
+              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
+              for (std::size_t kx = 0; kx < g.k; ++kx) {
+                const std::ptrdiff_t ix =
+                    static_cast<std::ptrdiff_t>(ox * g.stride + kx) -
+                    static_cast<std::ptrdiff_t>(g.pad);
+                if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
+                f(((oc * group_in + j) * g.k + ky) * g.k + kx,
+                  ((i * in_c + ic) * h + static_cast<std::size_t>(iy)) * w +
+                      static_cast<std::size_t>(ix),
+                  ((i * out_c + oc) * oh + oy) * ow + ox);
+              }
+            }
+          }
+}
+
+std::size_t conv_out(std::size_t in, const ConvGeometry& g) {
+  return (in + 2 * g.pad - g.k) / g.stride + 1;
+}
+
+Tensor naive_conv_forward(const Tensor& x, const Tensor& weight,
+                          const Tensor& bias, const ConvGeometry& g) {
+  const std::size_t out_c = bias.numel();
+  const std::size_t oh = conv_out(x.dim(2), g), ow = conv_out(x.dim(3), g);
+  Tensor y{{x.dim(0), out_c, oh, ow}};
+  for (std::size_t idx = 0; idx < y.numel(); ++idx)
+    y[idx] = bias[(idx / (oh * ow)) % out_c];
+  for_each_tap(x, out_c, oh, ow, g,
+               [&](std::size_t wi, std::size_t xi, std::size_t yi) {
+                 y[yi] += weight[wi] * x[xi];
+               });
+  return y;
+}
+
+NaiveConvGrads naive_conv_backward(const Tensor& x, const Tensor& weight,
+                                   const Tensor& grad_out,
+                                   const ConvGeometry& g) {
+  const std::size_t out_c = grad_out.dim(1);
+  const std::size_t oh = grad_out.dim(2), ow = grad_out.dim(3);
+  NaiveConvGrads out{Tensor{x.shape()}, Tensor{weight.shape()},
+                     Tensor{{out_c}}};
+  for (std::size_t idx = 0; idx < grad_out.numel(); ++idx)
+    out.grad_b[(idx / (oh * ow)) % out_c] += grad_out[idx];
+  for_each_tap(x, out_c, oh, ow, g,
+               [&](std::size_t wi, std::size_t xi, std::size_t yi) {
+                 out.grad_w[wi] += grad_out[yi] * x[xi];
+                 out.grad_in[xi] += grad_out[yi] * weight[wi];
+               });
+  return out;
+}
+
+// Runs forward + backward through the GEMM-lowered `layer` and the naive
+// oracle on identical inputs and compares outputs, input gradients and
+// param gradients.
+void compare_to_oracle(ml::Layer& layer, const ConvGeometry& g,
+                       const Tensor& x, Rng& grad_rng,
+                       const std::string& what) {
+  const auto params = layer.params();
+  ASSERT_EQ(params.size(), 2u);
+  const Tensor& weight = params[0]->value;
+  const Tensor& bias = params[1]->value;
+
+  const Tensor y = layer.forward(x, true);
+  expect_close(y, naive_conv_forward(x, weight, bias, g), 1e-5,
+               what + " forward");
+
+  Tensor grad_out{y.shape()};
   for (auto& v : grad_out.flat()) v = static_cast<float>(grad_rng.normal(0.0, 1.0));
-  for (ml::Param* p : gemm.params()) p->zero_grad();
-  for (ml::Param* p : ref.params()) p->zero_grad();
-  const Tensor gx_gemm = gemm.backward(grad_out);
-  ml::set_conv_backend(ml::ConvBackend::kReference);
-  const Tensor gx_ref = ref.backward(grad_out);
-  ml::set_conv_backend(ml::ConvBackend::kGemm);
-  expect_close(gx_gemm, gx_ref, 1e-4, what + " grad_in");
-
-  const auto pg = gemm.params();
-  const auto pr = ref.params();
-  ASSERT_EQ(pg.size(), pr.size());
-  for (std::size_t i = 0; i < pg.size(); ++i) {
-    expect_close(pg[i]->grad, pr[i]->grad, 1e-4,
-                 what + " param grad " + std::to_string(i));
-  }
+  for (ml::Param* p : params) p->zero_grad();
+  const Tensor gx = layer.backward(grad_out);
+  const NaiveConvGrads want = naive_conv_backward(x, weight, grad_out, g);
+  expect_close(gx, want.grad_in, 1e-4, what + " grad_in");
+  expect_close(params[0]->grad, want.grad_w, 1e-4, what + " param grad 0");
+  expect_close(params[1]->grad, want.grad_b, 1e-4, what + " param grad 1");
 }
 
 TEST(ConvBackendTest, Conv2DGemmMatchesReference) {
@@ -174,12 +248,12 @@ TEST(ConvBackendTest, Conv2DGemmMatchesReference) {
   for (const auto& c : cases) {
     SCOPED_TRACE(::testing::Message() << "k=" << c.k << " stride=" << c.stride
                                       << " pad=" << c.pad);
-    Rng init_a{seed}, init_b{seed};
-    ml::Conv2D gemm{c.in_c, c.out_c, c.k, c.stride, c.pad, init_a};
-    ml::Conv2D ref{c.in_c, c.out_c, c.k, c.stride, c.pad, init_b};
+    Rng init{seed};
+    ml::Conv2D layer{c.in_c, c.out_c, c.k, c.stride, c.pad, init};
     Rng data_rng{seed + 1};
     const Tensor x = random_tensor({c.n, c.in_c, c.h, c.w}, data_rng);
-    compare_backends(gemm, ref, x, data_rng, "Conv2D");
+    compare_to_oracle(layer, {c.k, c.stride, c.pad, false}, x, data_rng,
+                      "Conv2D");
     seed += 10;
   }
 }
@@ -194,26 +268,25 @@ TEST(ConvBackendTest, DepthwiseConv2DGemmMatchesReference) {
   for (const auto& c : cases) {
     SCOPED_TRACE(::testing::Message() << "c=" << c.in_c << " k=" << c.k
                                       << " stride=" << c.stride);
-    Rng init_a{seed}, init_b{seed};
-    ml::DepthwiseConv2D gemm{c.in_c, c.k, c.stride, c.pad, init_a};
-    ml::DepthwiseConv2D ref{c.in_c, c.k, c.stride, c.pad, init_b};
+    Rng init{seed};
+    ml::DepthwiseConv2D layer{c.in_c, c.k, c.stride, c.pad, init};
     Rng data_rng{seed + 1};
     const Tensor x = random_tensor({c.n, c.in_c, c.h, c.w}, data_rng);
-    compare_backends(gemm, ref, x, data_rng, "DepthwiseConv2D");
+    compare_to_oracle(layer, {c.k, c.stride, c.pad, true}, x, data_rng,
+                      "DepthwiseConv2D");
     seed += 10;
   }
 }
 
 TEST(ConvBackendTest, GemmBackendStaysParallelSafe) {
   // Same comparison with a multi-thread pool active: chunking must not change
-  // the GEMM results (the reference path is serial either way).
+  // the GEMM results (the oracle is serial either way).
   ThreadCountGuard guard{4};
-  Rng init_a{42}, init_b{42};
-  ml::Conv2D gemm{4, 8, 3, 1, 1, init_a};
-  ml::Conv2D ref{4, 8, 3, 1, 1, init_b};
+  Rng init{42};
+  ml::Conv2D layer{4, 8, 3, 1, 1, init};
   Rng data_rng{43};
   const Tensor x = random_tensor({4, 4, 12, 12}, data_rng);
-  compare_backends(gemm, ref, x, data_rng, "Conv2D(4 threads)");
+  compare_to_oracle(layer, {3, 1, 1, false}, x, data_rng, "Conv2D(4 threads)");
 }
 
 // ---------------------------------------------------------------------------

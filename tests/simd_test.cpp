@@ -584,13 +584,12 @@ TEST(WorkspaceTest, ServingSteadyStateMakesNoHeapAllocations) {
     ASSERT_EQ(preds.size(), 1u);
   };
 
-  // The zero-allocation contract covers every serving path: the raw layer
-  // graph AND both compiled-plan precisions (plan compilation itself
-  // allocates — that's a warm-up cost, paid once per precision switch).
+  // The zero-allocation contract covers every serving path: both
+  // compiled-plan precisions (plan compilation itself allocates — that's a
+  // warm-up cost, paid once per precision switch).
   const ml::PlanPrecision saved = ml::plan_precision();
   for (const ml::PlanPrecision precision :
-       {ml::PlanPrecision::kOff, ml::PlanPrecision::kF64,
-        ml::PlanPrecision::kF32}) {
+       {ml::PlanPrecision::kF64, ml::PlanPrecision::kF32}) {
     ml::set_plan_precision(precision);
     // Warm-up: first passes populate the per-thread free lists, build the
     // inference plan and any lazily-built caches (window coefficients).
