@@ -528,27 +528,16 @@ inline CalibratedDetectors calibrate_detectors(const core::SensoryMapper& mapper
                                                int n_benign = 10,
                                                double duration = 40.0) {
   CalibratedDetectors det;
-  std::vector<core::WindowResiduals> imu_cal;
-  std::vector<core::GpsRcaDetector::Result> audio_results, fused_results;
   std::vector<core::FlightScenario> scenarios;
   for (int i = 0; i < n_benign; ++i) {
     auto scenario = benign_scenario(i, duration);
     scenario.seed += 500000;  // calibration set is disjoint from test benign
     scenarios.push_back(scenario);
   }
-  const auto flights = lab().fly_all(scenarios);
-  for (const auto& flight : flights) {
-    const auto preds = mapper.predict_flight(lab(), flight);
-    const auto w = core::ImuRcaDetector::residuals(flight, preds);
-    imu_cal.insert(imu_cal.end(), w.begin(), w.end());
-    audio_results.push_back(
-        det.gps.analyze(flight, preds, core::GpsDetectorMode::kAudioOnly));
-    fused_results.push_back(
-        det.gps.analyze(flight, preds, core::GpsDetectorMode::kAudioImu));
-  }
-  det.imu.calibrate(imu_cal);
-  det.gps.calibrate(audio_results, core::GpsDetectorMode::kAudioOnly);
-  det.gps.calibrate(fused_results, core::GpsDetectorMode::kAudioImu);
+  core::RcaCalibrator calibrator{det.imu, det.gps};
+  for (const auto& flight : lab().fly_all(scenarios))
+    calibrator.add(flight, mapper.predict_flight(lab(), flight));
+  calibrator.fit();
   return det;
 }
 

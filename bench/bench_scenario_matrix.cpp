@@ -54,26 +54,7 @@ core::SensoryMapperConfig mapper_config() {
   return cfg;
 }
 
-// One flight's verdict through the engine's two-stage logic (the IMU verdict
-// selects the GPS KF variant) — same shape as bench_fault_matrix.
-struct Verdict {
-  bool imu_attacked = false;
-  bool gps_attacked = false;
-};
-
-Verdict analyze(const core::Flight& flight,
-                std::span<const core::TimedPrediction> preds,
-                const bench::CalibratedDetectors& det) {
-  Verdict v;
-  const auto residuals = core::ImuRcaDetector::residuals(flight, preds);
-  v.imu_attacked = det.imu.analyze(residuals).attacked;
-  const auto mode = v.imu_attacked ? core::GpsDetectorMode::kAudioOnly
-                                   : core::GpsDetectorMode::kAudioImu;
-  v.gps_attacked = det.gps.analyze(flight, preds, mode).attacked;
-  return v;
-}
-
-bool detected(const Verdict& v, scenario::AttackKind attack) {
+bool detected(const core::RcaReport& v, scenario::AttackKind attack) {
   switch (attack) {
     case scenario::AttackKind::kBenign: return v.imu_attacked || v.gps_attacked;
     case scenario::AttackKind::kImuBias: return v.imu_attacked;
@@ -129,21 +110,12 @@ bench::CalibratedDetectors calibrate_fold(const scenario::ScenarioSet& set,
                                           const std::vector<core::Flight>& flights,
                                           const core::SensoryMapper& mapper) {
   bench::CalibratedDetectors det;
-  std::vector<core::WindowResiduals> imu_cal;
-  std::vector<core::GpsRcaDetector::Result> audio_results, fused_results;
+  core::RcaCalibrator calibrator{det.imu, det.gps};
   for (const auto& cell : split.calibration) {
     const auto& flight = flights[static_cast<std::size_t>(cell.flight_id)];
-    const auto preds = mapper.predict_flight(set.lab(cell), flight);
-    const auto w = core::ImuRcaDetector::residuals(flight, preds);
-    imu_cal.insert(imu_cal.end(), w.begin(), w.end());
-    audio_results.push_back(
-        det.gps.analyze(flight, preds, core::GpsDetectorMode::kAudioOnly));
-    fused_results.push_back(
-        det.gps.analyze(flight, preds, core::GpsDetectorMode::kAudioImu));
+    calibrator.add(flight, mapper.predict_flight(set.lab(cell), flight));
   }
-  det.imu.calibrate(imu_cal);
-  det.gps.calibrate(audio_results, core::GpsDetectorMode::kAudioOnly);
-  det.gps.calibrate(fused_results, core::GpsDetectorMode::kAudioImu);
+  calibrator.fit();
   return det;
 }
 
@@ -154,10 +126,10 @@ std::map<int, Tally> score_fold(const scenario::ScenarioSet& set,
                                 const core::SensoryMapper& mapper,
                                 const bench::CalibratedDetectors& det) {
   std::map<int, Tally> per_airframe;
+  const core::RcaEngine engine{mapper, det.imu, det.gps};
   for (const auto& cell : split.eval) {
     const auto& flight = flights[static_cast<std::size_t>(cell.flight_id)];
-    const auto preds = mapper.predict_flight(set.lab(cell), flight);
-    const Verdict v = analyze(flight, preds, det);
+    const auto v = engine.analyze(set.lab(cell), flight);
     Tally& t = per_airframe[cell.airframe];
     if (cell.attack == scenario::AttackKind::kBenign) {
       ++t.benign;

@@ -38,8 +38,7 @@ int main() {
   core::ImuRcaDetector imu_det{imu_cfg};
   core::GpsRcaDetector gps_det{core::GpsRcaConfig{}};
   {
-    std::vector<core::WindowResiduals> imu_cal;
-    std::vector<core::GpsRcaDetector::Result> audio_cal, fused_cal;
+    core::RcaCalibrator calibrator{imu_det, gps_det};
     for (std::uint64_t seed = 910; seed < 918; ++seed) {
       core::FlightScenario b;
       // Calibration must cover the mission variety the detector will see:
@@ -60,15 +59,9 @@ int main() {
       b.wind.gust_stddev = 0.4;
       b.seed = seed;
       const auto f = lab.fly(b);
-      const auto preds = mapper.predict_flight(lab, f);
-      const auto w = core::ImuRcaDetector::residuals(f, preds);
-      imu_cal.insert(imu_cal.end(), w.begin(), w.end());
-      audio_cal.push_back(gps_det.analyze(f, preds, core::GpsDetectorMode::kAudioOnly));
-      fused_cal.push_back(gps_det.analyze(f, preds, core::GpsDetectorMode::kAudioImu));
+      calibrator.add(f, mapper.predict_flight(lab, f));
     }
-    imu_det.calibrate(imu_cal);
-    gps_det.calibrate(audio_cal, core::GpsDetectorMode::kAudioOnly);
-    gps_det.calibrate(fused_cal, core::GpsDetectorMode::kAudioImu);
+    calibrator.fit();
   }
   obs::logf(obs::LogLevel::kInfo, "setup",
             "velocity-error thresholds: audio-only %.2f, audio+IMU %.2f m/s",

@@ -178,23 +178,16 @@ int cmd_analyze(const Args& args) {
   obs::logf(obs::LogLevel::kInfo, "setup", "calibrating detectors on benign flights...");
   core::ImuRcaDetector imu_det{core::ImuRcaConfig{}};
   core::GpsRcaDetector gps_det{core::GpsRcaConfig{}};
-  std::vector<core::WindowResiduals> imu_cal;
-  std::vector<core::GpsRcaDetector::Result> audio_cal, fused_cal;
+  core::RcaCalibrator calibrator{imu_det, gps_det};
   for (std::uint64_t s = 7000; s < 7006; ++s) {
     core::FlightScenario b;
     b.mission = s % 2 ? make_mission("line", 30.0) : make_mission("hover", 30.0);
     b.wind.gust_stddev = 0.4;
     b.seed = s;
     const auto f = lab.fly(b);
-    const auto preds = mapper.predict_flight(lab, f);
-    const auto w = core::ImuRcaDetector::residuals(f, preds);
-    imu_cal.insert(imu_cal.end(), w.begin(), w.end());
-    audio_cal.push_back(gps_det.analyze(f, preds, core::GpsDetectorMode::kAudioOnly));
-    fused_cal.push_back(gps_det.analyze(f, preds, core::GpsDetectorMode::kAudioImu));
+    calibrator.add(f, mapper.predict_flight(lab, f));
   }
-  imu_det.calibrate(imu_cal);
-  gps_det.calibrate(audio_cal, core::GpsDetectorMode::kAudioOnly);
-  gps_det.calibrate(fused_cal, core::GpsDetectorMode::kAudioImu);
+  calibrator.fit();
 
   obs::logf(obs::LogLevel::kInfo, "run", "flying the incident (attack: %s)...", args.attack.c_str());
   const auto flight = lab.fly(make_scenario(args));

@@ -71,25 +71,29 @@ double GpsRcaDetector::calibrate(std::span<const Result> benign_results,
   return vt;
 }
 
-GpsRcaDetector::Monitor::Monitor(const GpsRcaConfig& config, GpsDetectorMode mode,
-                                 double vel_threshold, double pos_threshold,
-                                 bool count_metrics)
-    : config_(config),
-      mode_(mode),
-      vel_threshold_(vel_threshold),
-      pos_threshold_(pos_threshold),
-      count_metrics_(count_metrics),
-      monitor_(config.mean_window),
-      last_fix_t_(std::numeric_limits<double>::quiet_NaN()) {}
-
 GpsRcaDetector::Monitor::Monitor(const GpsRcaDetector& detector, GpsDetectorMode mode,
                                  bool count_metrics)
-    : Monitor(detector.config_, mode, detector.threshold(mode),
-              detector.pos_threshold(mode), count_metrics) {}
+    : config_(detector.config_),
+      mode_(mode),
+      vel_threshold_(detector.threshold(mode)),
+      pos_threshold_(detector.pos_threshold(mode)),
+      count_metrics_(count_metrics),
+      monitor_(detector.config_.mean_window),
+      last_fix_t_(std::numeric_limits<double>::quiet_NaN()) {}
 
-void GpsRcaDetector::Monitor::seed(const Vec3& v0, const Vec3& p0) {
+void GpsRcaDetector::Monitor::seed_from(std::span<const sim::GpsSample> fixes) {
   if (seeded_) return;
   seeded_ = true;
+  // The first FINITE fix (pre-attack per the threat model: attacks start
+  // only after takeoff completes).  A poisoned leading fix must not seed
+  // the filters with NaN.
+  Vec3 v0, p0;
+  for (const auto& fix : fixes) {
+    if (!std::isfinite(fix.t) || !finite(fix.vel) || !finite(fix.pos)) continue;
+    v0 = fix.vel;
+    p0 = fix.pos;
+    break;
+  }
   if (mode_ == GpsDetectorMode::kAudioOnly)
     audio_kf_.emplace(config_.kf, v0);
   else
@@ -102,7 +106,7 @@ void GpsRcaDetector::Monitor::step_window(
     std::span<const sim::ImuSample> imu,
     std::vector<GpsFixDecision>* decisions_out, faults::HealthReport* health,
     Trace* trace_out) {
-  if (!seeded_) seed({}, {});
+  if (!seeded_) seed_from({});
   const bool telemetry = obs::enabled();
   if (first_window_) {
     prev_t_ = p.t0;
@@ -300,25 +304,13 @@ bool GpsRcaDetector::Monitor::load_state(std::istream& is) {
 
 GpsRcaDetector::Result GpsRcaDetector::run(const Flight& flight,
                                            std::span<const TimedPrediction> preds,
-                                           GpsDetectorMode mode, double vel_threshold,
-                                           double pos_threshold, Trace* trace_out,
+                                           GpsDetectorMode mode, Trace* trace_out,
                                            std::vector<GpsFixDecision>* decisions_out,
                                            faults::HealthReport* health) const {
   obs::ScopedSpan span{"gps_rca", obs::Stage::kDetect};
   if (preds.empty()) return {};
-
-  // Initial state from the first FINITE GPS fix (pre-attack per the threat
-  // model: attacks start only after takeoff completes).  A poisoned leading
-  // fix must not seed the filters with NaN.
-  Vec3 v0, p0;
-  for (const auto& fix : flight.log.gps) {
-    if (!std::isfinite(fix.t) || !finite(fix.vel) || !finite(fix.pos)) continue;
-    v0 = fix.vel;
-    p0 = fix.pos;
-    break;
-  }
-  Monitor monitor{config_, mode, vel_threshold, pos_threshold};
-  monitor.seed(v0, p0);
+  Monitor monitor{*this, mode};
+  monitor.seed_from(flight.log.gps);
   for (const auto& p : preds)
     monitor.step_window(p, flight.log.gps, flight.log.imu, decisions_out, health,
                         trace_out);
@@ -329,17 +321,14 @@ GpsRcaDetector::Result GpsRcaDetector::analyze(
     const Flight& flight, std::span<const TimedPrediction> preds,
     GpsDetectorMode mode, std::vector<GpsFixDecision>* decisions_out,
     faults::HealthReport* health) const {
-  const std::size_t m = mode_index(mode);
-  return run(flight, preds, mode, vel_thresholds_[m], pos_thresholds_[m], nullptr,
-             decisions_out, health);
+  return run(flight, preds, mode, nullptr, decisions_out, health);
 }
 
 GpsRcaDetector::Trace GpsRcaDetector::trace(const Flight& flight,
                                             std::span<const TimedPrediction> preds,
                                             GpsDetectorMode mode) const {
   Trace t;
-  const std::size_t m = mode_index(mode);
-  run(flight, preds, mode, vel_thresholds_[m], pos_thresholds_[m], &t);
+  run(flight, preds, mode, &t);
   return t;
 }
 

@@ -77,32 +77,26 @@ class GpsRcaDetector {
   Trace trace(const Flight& flight, std::span<const TimedPrediction> preds,
               GpsDetectorMode mode) const;
 
-  // Incremental form of analyze() for the streaming runtime; the offline
-  // run() is itself implemented on top of it, so stepping a Monitor window
-  // by window over the same prediction/fix/IMU streams reproduces analyze()
-  // bit for bit.  Seeding: the offline path seeds the filters from the first
-  // finite fix of the WHOLE log; a streaming session seeds from the first
-  // finite fix it has received when the first window arrives — identical
-  // whenever any finite fix precedes the first analysis window (always true
-  // outside total-GPS-blackout starts, where detection is moot anyway).
+  // Incremental form of analyze(); the offline run() is itself implemented
+  // on top of it, so stepping a Monitor window by window over the same
+  // prediction/fix/IMU streams reproduces analyze() bit for bit.  The
+  // two-stage RcaMonitor runs one per mode.
   class Monitor {
    public:
-    // Explicit thresholds (< 0 disables the comparison, as in calibration
-    // runs).  `count_metrics` = false suppresses the global `faults.*` obs
-    // counters — a streaming session runs BOTH mode monitors concurrently
-    // and adds the selected one's tallies itself at finish, so the global
-    // metrics match a single offline run.
-    Monitor(const GpsRcaConfig& config, GpsDetectorMode mode,
-            double vel_threshold, double pos_threshold,
-            bool count_metrics = true);
-    // Calibrated thresholds of `detector` for `mode`.
+    // Thresholds of `detector` for `mode` (an uncalibrated mode's < 0
+    // disables the comparison, as in calibration runs).  `count_metrics` =
+    // false suppresses the global `faults.*` obs counters — RcaMonitor runs
+    // BOTH mode monitors concurrently and adds the selected one's tallies
+    // itself at finish, so the global metrics count one mode per flight.
     Monitor(const GpsRcaDetector& detector, GpsDetectorMode mode,
             bool count_metrics = true);
 
-    // Seeds filter velocity and integrated position; the first call wins,
-    // later calls are no-ops.  Unseeded monitors seed to zero on first use.
-    void seed(const Vec3& v0, const Vec3& p0);
-    bool seeded() const { return seeded_; }
+    // Seeds filter velocity and integrated position from the first finite
+    // fix in `fixes` (zero when there is none); the first call wins, later
+    // calls are no-ops.  analyze() passes the whole log; RcaMonitor passes
+    // the fixes it was given with the first window.  Unseeded monitors seed
+    // to zero on first use.
+    void seed_from(std::span<const sim::GpsSample> fixes);
 
     // Advances over one prediction window: one KF step, then consumes GPS
     // fixes with t <= p.t1 from `gps` (the fix stream so far; the monitor
@@ -152,8 +146,7 @@ class GpsRcaDetector {
   // Shared implementation: walks predictions + GPS fixes, returns both the
   // result (against the thresholds) and optionally the full trace.
   Result run(const Flight& flight, std::span<const TimedPrediction> preds,
-             GpsDetectorMode mode, double vel_threshold, double pos_threshold,
-             Trace* trace_out,
+             GpsDetectorMode mode, Trace* trace_out,
              std::vector<GpsFixDecision>* decisions_out = nullptr,
              faults::HealthReport* health = nullptr) const;
 

@@ -30,6 +30,21 @@ void axis_stats(const WindowResiduals& w, double mean_out[3], double std_out[3])
   }
 }
 
+// Flight-local residual baseline: the mean of every sample of the reference
+// windows in window order, then sample order (zero when they hold none).
+// residuals() and the Monitor both take it from here, so the two agree
+// bitwise.
+Vec3 reference_mean(std::span<const WindowResiduals> reference) {
+  Vec3 sum;
+  std::size_t n = 0;
+  for (const auto& w : reference)
+    for (const auto& r : w.samples) {
+      sum += r;
+      ++n;
+    }
+  return n > 0 ? sum / static_cast<double>(n) : Vec3{};
+}
+
 }  // namespace
 
 ImuRcaDetector::ImuRcaDetector(const ImuRcaConfig& config) : config_(config) {}
@@ -78,20 +93,10 @@ std::vector<WindowResiduals> ImuRcaDetector::residuals(
   }
 
   // Flight-local baseline from the attack-free early windows.
-  if (reference_windows > 0 && !out.empty()) {
-    Vec3 baseline;
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < std::min(reference_windows, out.size()); ++i)
-      for (const auto& r : out[i].samples) {
-        baseline += r;
-        ++n;
-      }
-    if (n > 0) {
-      baseline = baseline / static_cast<double>(n);
-      for (auto& w : out)
-        for (auto& r : w.samples) r -= baseline;
-    }
-  }
+  const Vec3 baseline = reference_mean(
+      std::span{out}.first(std::min(reference_windows, out.size())));
+  for (auto& w : out)
+    for (auto& r : w.samples) r -= baseline;
   return out;
 }
 
@@ -238,10 +243,9 @@ ImuRcaDetector::Monitor::Monitor(const ImuRcaDetector& detector,
 
 void ImuRcaDetector::Monitor::freeze_baseline() {
   if (frozen_) return;
-  // Same accumulation order as the offline residuals() baseline loop
-  // (window order, sample order) so the mean is bitwise identical.
-  if (baseline_n_ > 0)
-    baseline_ = baseline_sum_ / static_cast<double>(baseline_n_);
+  // Nothing has drained yet, so the backlog holds exactly the reference
+  // windows the offline residuals() baseline averages.
+  baseline_ = reference_mean(pending_);
   frozen_ = true;
 }
 
@@ -257,15 +261,8 @@ std::vector<ImuWindowDecision> ImuRcaDetector::Monitor::drain() {
 }
 
 std::vector<ImuWindowDecision> ImuRcaDetector::Monitor::add(WindowResiduals raw) {
-  ++windows_seen_;
-  if (!frozen_) {
-    for (const auto& r : raw.samples) {
-      baseline_sum_ += r;
-      ++baseline_n_;
-    }
-  }
   pending_.push_back(std::move(raw));
-  if (!frozen_ && windows_seen_ >= reference_windows_) freeze_baseline();
+  if (!frozen_ && pending_.size() >= reference_windows_) freeze_baseline();
   if (!frozen_) return {};
   return drain();
 }
@@ -278,10 +275,7 @@ std::vector<ImuWindowDecision> ImuRcaDetector::Monitor::finish() {
 void ImuRcaDetector::Monitor::save_state(std::ostream& os) const {
   using util::io::write_pod;
   write_pod(os, static_cast<std::uint64_t>(reference_windows_));
-  write_pod(os, static_cast<std::uint64_t>(windows_seen_));
   write_pod(os, static_cast<std::uint8_t>(frozen_ ? 1 : 0));
-  write_pod(os, baseline_sum_);
-  write_pod(os, static_cast<std::uint64_t>(baseline_n_));
   write_pod(os, baseline_);
   write_pod(os, static_cast<std::uint64_t>(pending_.size()));
   for (const auto& w : pending_) {
@@ -301,13 +295,11 @@ void ImuRcaDetector::Monitor::save_state(std::ostream& os) const {
 
 bool ImuRcaDetector::Monitor::load_state(std::istream& is) {
   using util::io::read_pod;
-  std::uint64_t ref = 0, seen = 0, baseline_n = 0, n_pending = 0;
+  std::uint64_t ref = 0, n_pending = 0;
   std::uint8_t frozen = 0;
   if (!read_pod(is, ref) || ref != reference_windows_) return false;
-  if (!read_pod(is, seen) || !read_pod(is, frozen)) return false;
-  if (!read_pod(is, baseline_sum_) || !read_pod(is, baseline_n) ||
-      !read_pod(is, baseline_))
-    return false;
+  if (!read_pod(is, frozen)) return false;
+  if (!read_pod(is, baseline_)) return false;
   if (!read_pod(is, n_pending)) return false;
   // A pending backlog can hold at most reference_windows_ buffered windows
   // (plus one in flight); a wild count here means corrupt bytes.
@@ -330,9 +322,7 @@ bool ImuRcaDetector::Monitor::load_state(std::istream& is) {
       !read_pod(is, flagged) || !read_pod(is, skipped) ||
       !read_pod(is, consecutive))
     return false;
-  windows_seen_ = static_cast<std::size_t>(seen);
   frozen_ = frozen != 0;
-  baseline_n_ = static_cast<std::size_t>(baseline_n);
   r.attacked = attacked != 0;
   r.windows_tested = static_cast<std::size_t>(tested);
   r.windows_flagged = static_cast<std::size_t>(flagged);

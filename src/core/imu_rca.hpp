@@ -131,8 +131,8 @@ class ImuRcaDetector {
     const Result& result() const { return state_.result; }
     const ImuRcaDetector& detector() const { return *detector_; }
 
-    // Bitwise checkpoint of the running analysis state (baseline
-    // accumulator, pending backlog, step state).  load_state expects a
+    // Bitwise checkpoint of the running analysis state (frozen baseline,
+    // pending backlog, step state).  load_state expects a
     // monitor constructed against the SAME detector and reference-window
     // count; it returns false on malformed bytes or a configuration
     // mismatch, leaving the monitor in an unspecified state.
@@ -145,10 +145,7 @@ class ImuRcaDetector {
 
     const ImuRcaDetector* detector_;
     std::size_t reference_windows_;
-    std::size_t windows_seen_ = 0;
     bool frozen_ = false;
-    Vec3 baseline_sum_;
-    std::size_t baseline_n_ = 0;
     Vec3 baseline_;
     std::vector<WindowResiduals> pending_;
     StepState state_;

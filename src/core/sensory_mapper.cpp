@@ -12,7 +12,7 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/checksum.hpp"
+#include "util/binary_io.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
@@ -324,26 +324,16 @@ std::vector<TimedPrediction> SensoryMapper::predict_flight(
 
 namespace {
 
-// Framed format: magic, format version, payload size, CRC-32 of the
-// payload, then the payload itself.  The frame is validated before any
-// payload field is parsed, so truncation and bit flips are caught up front
-// instead of surfacing as a silently mis-sized model.
+// Framed format (util/binary_io.hpp): magic, format version, payload size,
+// CRC-32 of the payload, then the payload itself.  The frame is validated
+// before any payload field is parsed, so truncation and bit flips are caught
+// up front instead of surfacing as a silently mis-sized model.
 constexpr std::uint64_t kModelMagic = 0x53424d4150463032ULL;   // "SBMAPF02"
 constexpr std::uint64_t kLegacyModelMagic = 0x53424d4150313032ULL;  // "SBMAP102"
 constexpr std::uint32_t kFormatVersion = 2;
-// magic + version + payload size + crc32.
-constexpr std::uint64_t kFrameHeaderBytes = 8 + 4 + 8 + 4;
 
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-template <typename T>
-bool read_pod(std::istream& is, T& v) {
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return static_cast<bool>(is);
-}
+using util::io::read_pod;
+using util::io::write_pod;
 
 void reject(const std::string& path, const char* why) {
   obs::logf(obs::LogLevel::kWarn, "io", "rejecting model file %s: %s",
@@ -393,13 +383,7 @@ bool SensoryMapper::save(std::ostream& out) const {
   for (double b : calib_b_) write_pod(os, b);
   if (!os) return false;
 
-  const std::string payload = os.str();
-  write_pod(out, kModelMagic);
-  write_pod(out, kFormatVersion);
-  write_pod(out, static_cast<std::uint64_t>(payload.size()));
-  write_pod(out, util::crc32(payload.data(), payload.size()));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  return static_cast<bool>(out);
+  return util::io::write_frame(out, kModelMagic, kFormatVersion, os.str());
 }
 
 bool SensoryMapper::load(const std::string& path) {
@@ -409,52 +393,15 @@ bool SensoryMapper::load(const std::string& path) {
 }
 
 bool SensoryMapper::load(std::istream& file, const std::string& path) {
+  // The frame starts wherever this stream was positioned on entry (byte 0
+  // for a model file; mid-stream for an embedded frame).
+  std::string payload;
   std::uint64_t magic = 0;
-  if (!read_pod(file, magic)) return false;
-  if (magic == kLegacyModelMagic) {
-    reject(path, "pre-framing format (no integrity checksum) — retrain and re-save");
-    return false;
-  }
-  if (magic != kModelMagic) {
-    reject(path, "unrecognized magic");
-    return false;
-  }
-  std::uint32_t version = 0;
-  std::uint64_t payload_size = 0;
-  std::uint32_t crc = 0;
-  if (!read_pod(file, version) || !read_pod(file, payload_size) ||
-      !read_pod(file, crc)) {
-    reject(path, "truncated frame header");
-    return false;
-  }
-  if (version != kFormatVersion) {
-    reject(path, "unsupported format version");
-    return false;
-  }
-  // The declared payload must match the bytes actually present — this both
-  // catches truncation early and bounds the allocation below.  The frame
-  // starts wherever this stream was positioned on entry (byte 0 for a model
-  // file; mid-stream for an embedded frame).
-  const auto frame_start = static_cast<std::uint64_t>(
-      static_cast<std::streamoff>(file.tellg()) -
-      static_cast<std::streamoff>(kFrameHeaderBytes));
-  file.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(file.tellg());
-  file.seekg(static_cast<std::streamoff>(frame_start + kFrameHeaderBytes),
-             std::ios::beg);
-  if (file_size < frame_start + kFrameHeaderBytes ||
-      payload_size != file_size - frame_start - kFrameHeaderBytes) {
-    reject(path, "payload size mismatch (truncated or corrupt)");
-    return false;
-  }
-  std::string payload(payload_size, '\0');
-  file.read(payload.data(), static_cast<std::streamsize>(payload_size));
-  if (!file) {
-    reject(path, "short read");
-    return false;
-  }
-  if (util::crc32(payload.data(), payload.size()) != crc) {
-    reject(path, "checksum mismatch (bit-flipped or corrupt)");
+  if (const char* why =
+          util::io::read_frame(file, kModelMagic, kFormatVersion, payload, &magic)) {
+    reject(path, magic == kLegacyModelMagic
+                     ? "pre-framing format (no integrity checksum) — retrain and re-save"
+                     : why);
     return false;
   }
 

@@ -5,21 +5,12 @@
 #include <cstring>
 #include <fstream>
 
+#include "util/binary_io.hpp"
+
 namespace sb::io {
-namespace {
 
-template <typename T>
-void write_pod(std::ostream& os, T v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-template <typename T>
-bool read_pod(std::istream& is, T& v) {
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return static_cast<bool>(is);
-}
-
-}  // namespace
+using util::io::read_pod;
+using util::io::write_pod;
 
 bool write_wav(const std::string& path, const WavData& data) {
   if (data.channels.empty() || data.num_samples() == 0) return false;

@@ -12,19 +12,13 @@
 // Equivalence contract (pinned by the integration suite): a flight pushed
 // through a session sample-by-sample yields bit-identical signature windows,
 // residuals, decision sequences and final RcaReport to the offline
-// RcaEngine::analyze of the same recording.  The three offline acausalities
-// are handled explicitly:
-//   - the IMU residual baseline averages the first `reference_windows`
-//     windows, so IMU decisions buffer until the baseline freezes and then
-//     drain in order (ImuRcaDetector::Monitor);
-//   - the offline GPS stage picks its KF variant from the FINAL IMU verdict,
-//     so the session runs BOTH GPS monitors concurrently and selects at
-//     finish(); poll_verdicts() reports the provisionally selected mode's
-//     decisions (causal, may switch mid-flight);
-//   - the offline KFs seed from the first finite fix of the whole log; the
-//     session seeds from the first finite fix received before the first
-//     window — identical whenever GPS acquires before the settle period
-//     ends.
+// RcaEngine::analyze of the same recording.  Both drive the same per-flight
+// decision state (core::RcaMonitor); the session only adds ingestion,
+// staging and live VerdictEvents around it.  One seeding rule separates the
+// two: the GPS filters seed from the first finite fix in the GPS span passed
+// with the first window — the whole log offline, the fixes received so far
+// online — so the paths agree whenever GPS acquires before the first
+// window ends.
 //
 // Shed windows (backpressure) are delivered as NaN predictions and flow
 // through the pipeline's existing degradation paths: the IMU stage drops the
@@ -139,7 +133,8 @@ class RcaSession {
 
   std::size_t windows_staged() const { return next_seq_; }
   std::size_t windows_delivered() const { return delivered_; }
-  const faults::HealthReport& health() const { return health_; }
+  // Mic and IMU tallies so far; the selected GPS mode's merge at finish().
+  const faults::HealthReport& health() const { return monitor_.health(); }
 
   // The session's black-box ring, or nullptr when recording is off.  The
   // scheduler feeds it delivery/shed/SLO events; recording never feeds back
@@ -149,10 +144,10 @@ class RcaSession {
   const RcaSessionConfig& config() const { return config_; }
 
   // Crash-safe checkpoint: serializes the COMPLETE monitor state (extractor
-  // ring, IMU baseline/run state, both GPS monitors with KF x and P, sensor
-  // buffers, cursors, verdict backlog, health) inside an SBSESS01 integrity
-  // frame (magic, version, payload size, CRC-32 — same layout as the model
-  // format).  The session must be quiescent — every staged window taken AND
+  // ring, the RcaMonitor's IMU baseline/run state and both GPS monitors with
+  // KF x and P, sensor buffers, cursors, verdict backlog, health) inside an
+  // SBSESS01 integrity frame (util::io::write_frame — the model format's
+  // frame).  The session must be quiescent — every staged window taken AND
   // delivered (drain the scheduler first) — or a logic_error is thrown:
   // in-flight windows cannot round-trip.  Returns false on I/O failure.
   bool checkpoint(const std::string& path) const;
@@ -177,8 +172,8 @@ class RcaSession {
   static bool peek_checkpoint_id(const std::string& path, std::uint64_t* id);
 
  private:
-  void emit_imu_decisions(std::vector<core::ImuWindowDecision> decisions,
-                          double decided_at);
+  void emit_imu_decisions(std::span<const core::ImuWindowDecision> decisions,
+                          bool imu_attacked, double decided_at);
   // Signature preparation for one staged window (see ReadyWindow).
   void prepare_window(ReadyWindow& w);
   // Checkpoint payload body (everything inside the SBSESS01 frame); defined
@@ -192,25 +187,17 @@ class RcaSession {
   std::unique_ptr<obs::FlightRecorder> recorder_;  // null unless SB_RECORDER
   std::uint64_t audio_chunks_ = 0;
   StreamingFeatureExtractor extractor_;
-  core::ImuRcaDetector::Monitor imu_monitor_;
-  // [0] = kAudioOnly, [1] = kAudioImu — both run; finish() selects.
-  core::GpsRcaDetector::Monitor gps_monitors_[2];
-  faults::HealthReport gps_health_[2];
-  std::vector<core::GpsFixDecision> gps_decisions_[2];
+  core::RcaMonitor monitor_;
 
   std::vector<sim::ImuSample> imu_buf_;
   std::vector<sim::GpsSample> gps_buf_;
-  std::size_t residual_lo_ = 0;  // window_residuals scan cursor
-  bool gps_seeded_ = false;
 
   std::vector<ReadyWindow> ready_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t delivered_ = 0;
   double last_t1_ = 0.0;
 
-  std::vector<core::ImuWindowDecision> imu_decisions_;  // full trace
   std::vector<VerdictEvent> events_;
-  faults::HealthReport health_;  // mic + IMU tallies; GPS merged at finish()
   bool finished_ = false;
 };
 

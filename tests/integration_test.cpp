@@ -59,25 +59,11 @@ const Pipeline& pipeline() {
     out.benign.push_back(test::line_flight(25.0, 307));
 
     out.imu_det = std::make_unique<ImuRcaDetector>(ImuRcaConfig{});
-    std::vector<WindowResiduals> cal;
-    for (const auto& f : out.benign) {
-      const auto preds = out.mapper->predict_flight(test::lab(), f);
-      const auto w = ImuRcaDetector::residuals(f, preds);
-      cal.insert(cal.end(), w.begin(), w.end());
-    }
-    out.imu_det->calibrate(cal);
-
     out.gps_det = std::make_unique<GpsRcaDetector>(GpsRcaConfig{});
-    std::vector<GpsRcaDetector::Result> audio_results, fused_results;
-    for (const auto& f : out.benign) {
-      const auto preds = out.mapper->predict_flight(test::lab(), f);
-      audio_results.push_back(
-          out.gps_det->analyze(f, preds, GpsDetectorMode::kAudioOnly));
-      fused_results.push_back(
-          out.gps_det->analyze(f, preds, GpsDetectorMode::kAudioImu));
-    }
-    out.gps_det->calibrate(audio_results, GpsDetectorMode::kAudioOnly);
-    out.gps_det->calibrate(fused_results, GpsDetectorMode::kAudioImu);
+    RcaCalibrator calibrator{*out.imu_det, *out.gps_det};
+    for (const auto& f : out.benign)
+      calibrator.add(f, out.mapper->predict_flight(test::lab(), f));
+    calibrator.fit();
     return out;
   }();
   return p;
@@ -575,69 +561,48 @@ struct StreamOutcome {
   std::size_t shed = 0;
 };
 
+// Pushes the recording's audio samples [begin, end) into `session`, led by
+// every IMU sample and GPS fix up to that instant: by the time a window's
+// last audio sample arrives, a live recorder has all sensor data up to it
+// (the GPS stage consumes fixes with t <= window end).  `imu_i`/`gps_i` are
+// the flight-log cursors, advanced in place.
+void push_slice(stream::RcaSession& session, const Flight& f,
+                const acoustics::MultiChannelAudio& audio, std::size_t begin,
+                std::size_t end, std::size_t& imu_i, std::size_t& gps_i) {
+  const double until = static_cast<double>(end) / audio.sample_rate;
+  std::size_t imu_hi = imu_i;
+  while (imu_hi < f.log.imu.size() && f.log.imu[imu_hi].t <= until) ++imu_hi;
+  session.push_imu(std::span{f.log.imu}.subspan(imu_i, imu_hi - imu_i));
+  imu_i = imu_hi;
+  std::size_t gps_hi = gps_i;
+  while (gps_hi < f.log.gps.size() && f.log.gps[gps_hi].t <= until) ++gps_hi;
+  session.push_gps(std::span{f.log.gps}.subspan(gps_i, gps_hi - gps_i));
+  gps_i = gps_hi;
+
+  acoustics::MultiChannelAudio slice;
+  slice.sample_rate = audio.sample_rate;
+  for (std::size_t c = 0; c < sensors::kNumMics; ++c)
+    slice.channels[c].assign(
+        audio.channels[c].begin() + static_cast<std::ptrdiff_t>(begin),
+        audio.channels[c].begin() + static_cast<std::ptrdiff_t>(end));
+  session.push_audio(slice);
+}
+
+// Streams the flight through one session + scheduler in `chunk`-sample
+// slices.  With `restart_mid_flight`, a server crash is simulated at
+// mid-flight: the session is drained, checkpointed (SBSESS01), destroyed
+// together with its scheduler, then restored into a NEW session on a NEW
+// scheduler which serves the rest of the stream.  Everything downstream —
+// events, trace, report — must be bitwise identical either way.
 StreamOutcome run_streaming(const Flight& f, const SensoryMapper& m,
                             const PredictionHooks& hooks = {},
-                            std::size_t chunk = 1600) {
+                            std::size_t chunk = 1600,
+                            bool restart_mid_flight = false) {
   const auto& p = pipeline();
   stream::RcaSessionConfig sc;
   sc.hooks = hooks;
   // Inert unless the recorder-on test flips SB_RECORDER's switch; keeps any
   // black-box dumps out of the working directory.
-  sc.recorder.out_dir = ::testing::TempDir();
-  stream::RcaSession session{1, m, *p.imu_det, *p.gps_det, sc};
-  stream::InferenceScheduler sched{m};
-  sched.attach(session);
-
-  const auto audio = continuous_recording(f, m);
-  const double fs = audio.sample_rate;
-  const std::size_t total = audio.num_samples();
-  std::size_t imu_i = 0, gps_i = 0;
-  StreamOutcome out;
-  for (std::size_t begin = 0; begin < total; begin += chunk) {
-    const std::size_t end = std::min(begin + chunk, total);
-    // Sensors lead the audio: by the time a window's last audio sample
-    // arrives, a live recorder has every IMU sample and GPS fix up to that
-    // instant (the GPS stage consumes fixes with t <= window end).
-    const double until = static_cast<double>(end) / fs;
-    std::size_t imu_hi = imu_i;
-    while (imu_hi < f.log.imu.size() && f.log.imu[imu_hi].t <= until) ++imu_hi;
-    session.push_imu(std::span{f.log.imu}.subspan(imu_i, imu_hi - imu_i));
-    imu_i = imu_hi;
-    std::size_t gps_hi = gps_i;
-    while (gps_hi < f.log.gps.size() && f.log.gps[gps_hi].t <= until) ++gps_hi;
-    session.push_gps(std::span{f.log.gps}.subspan(gps_i, gps_hi - gps_i));
-    gps_i = gps_hi;
-
-    acoustics::MultiChannelAudio slice;
-    slice.sample_rate = fs;
-    for (std::size_t c = 0; c < sensors::kNumMics; ++c)
-      slice.channels[c].assign(audio.channels[c].begin() + static_cast<std::ptrdiff_t>(begin),
-                               audio.channels[c].begin() + static_cast<std::ptrdiff_t>(end));
-    session.push_audio(slice);
-    sched.pump();
-    for (auto& e : session.poll_verdicts()) out.events.push_back(e);
-  }
-  session.push_imu(std::span{f.log.imu}.subspan(imu_i));
-  session.push_gps(std::span{f.log.gps}.subspan(gps_i));
-  sched.drain();
-  for (auto& e : session.poll_verdicts()) out.events.push_back(e);
-  out.shed = sched.windows_shed();
-  out.report = session.finish(&out.trace);
-  return out;
-}
-
-// run_streaming with a simulated server crash at mid-flight: the session is
-// drained, checkpointed (SBSESS01), destroyed together with its scheduler,
-// then restored into a NEW session on a NEW scheduler which serves the rest
-// of the stream.  Everything downstream — events, trace, report — must be
-// bitwise identical to the uninterrupted paths.
-StreamOutcome run_streaming_with_restart(const Flight& f,
-                                         const SensoryMapper& m,
-                                         const PredictionHooks& hooks = {},
-                                         std::size_t chunk = 1600) {
-  const auto& p = pipeline();
-  stream::RcaSessionConfig sc;
-  sc.hooks = hooks;
   sc.recorder.out_dir = ::testing::TempDir();
   auto session =
       std::make_unique<stream::RcaSession>(1, m, *p.imu_det, *p.gps_det, sc);
@@ -645,34 +610,17 @@ StreamOutcome run_streaming_with_restart(const Flight& f,
   sched->attach(*session);
 
   const auto audio = continuous_recording(f, m);
-  const double fs = audio.sample_rate;
   const std::size_t total = audio.num_samples();
   std::size_t imu_i = 0, gps_i = 0;
   bool restarted = false;
   StreamOutcome out;
   for (std::size_t begin = 0; begin < total; begin += chunk) {
     const std::size_t end = std::min(begin + chunk, total);
-    const double until = static_cast<double>(end) / fs;
-    std::size_t imu_hi = imu_i;
-    while (imu_hi < f.log.imu.size() && f.log.imu[imu_hi].t <= until) ++imu_hi;
-    session->push_imu(std::span{f.log.imu}.subspan(imu_i, imu_hi - imu_i));
-    imu_i = imu_hi;
-    std::size_t gps_hi = gps_i;
-    while (gps_hi < f.log.gps.size() && f.log.gps[gps_hi].t <= until) ++gps_hi;
-    session->push_gps(std::span{f.log.gps}.subspan(gps_i, gps_hi - gps_i));
-    gps_i = gps_hi;
-
-    acoustics::MultiChannelAudio slice;
-    slice.sample_rate = fs;
-    for (std::size_t c = 0; c < sensors::kNumMics; ++c)
-      slice.channels[c].assign(
-          audio.channels[c].begin() + static_cast<std::ptrdiff_t>(begin),
-          audio.channels[c].begin() + static_cast<std::ptrdiff_t>(end));
-    session->push_audio(slice);
+    push_slice(*session, f, audio, begin, end, imu_i, gps_i);
     sched->pump();
     for (auto& e : session->poll_verdicts()) out.events.push_back(e);
 
-    if (!restarted && end >= total / 2) {
+    if (restart_mid_flight && !restarted && end >= total / 2) {
       restarted = true;
       sched->drain();
       for (auto& e : session->poll_verdicts()) out.events.push_back(e);
@@ -689,6 +637,7 @@ StreamOutcome run_streaming_with_restart(const Flight& f,
       sched->attach(*session);
     }
   }
+  EXPECT_EQ(restarted, restart_mid_flight);
   session->push_imu(std::span{f.log.imu}.subspan(imu_i));
   session->push_gps(std::span{f.log.gps}.subspan(gps_i));
   sched->drain();
@@ -728,25 +677,30 @@ void expect_imu_decision_eq(const ImuWindowDecision& a,
   EXPECT_EQ(a.alert, b.alert) << "imu window " << i;
 }
 
-// Bitwise comparison of the two paths' full evidence: EXPECT_EQ on doubles
-// is exact, so any drift in a residual or threshold fails loudly.
-void expect_equivalent(const RcaReport& off, const RcaDecisionTrace& off_tr,
-                       const StreamOutcome& on) {
-  EXPECT_EQ(off.imu_attacked, on.report.imu_attacked);
-  EXPECT_EQ(off.imu_detect_time, on.report.imu_detect_time);
-  EXPECT_EQ(off.gps_attacked, on.report.gps_attacked);
-  EXPECT_EQ(off.gps_detect_time, on.report.gps_detect_time);
-  EXPECT_EQ(off.gps_mode_used, on.report.gps_mode_used);
-  expect_health_eq(off.health, on.report.health);
+// Bitwise comparison of two analyses' full evidence — report, health and
+// both decision traces: EXPECT_EQ on doubles is exact, so any drift in a
+// residual or threshold fails loudly.
+void expect_same_analysis(const RcaReport& ref, const RcaDecisionTrace& ref_tr,
+                          const RcaReport& got, const RcaDecisionTrace& got_tr) {
+  EXPECT_EQ(ref.imu_attacked, got.imu_attacked);
+  EXPECT_EQ(ref.imu_detect_time, got.imu_detect_time);
+  EXPECT_EQ(ref.gps_attacked, got.gps_attacked);
+  EXPECT_EQ(ref.gps_detect_time, got.gps_detect_time);
+  EXPECT_EQ(ref.gps_mode_used, got.gps_mode_used);
+  expect_health_eq(ref.health, got.health);
+  EXPECT_EQ(ref_tr.imu_attacked, got_tr.imu_attacked);
+  EXPECT_EQ(ref_tr.gps_attacked, got_tr.gps_attacked);
+  EXPECT_EQ(ref_tr.gps_mode, got_tr.gps_mode);
+  expect_health_eq(ref_tr.health, got_tr.health);
 
-  ASSERT_EQ(off_tr.imu.size(), on.trace.imu.size());
-  for (std::size_t i = 0; i < off_tr.imu.size(); ++i)
-    expect_imu_decision_eq(off_tr.imu[i], on.trace.imu[i], i);
+  ASSERT_EQ(ref_tr.imu.size(), got_tr.imu.size());
+  for (std::size_t i = 0; i < ref_tr.imu.size(); ++i)
+    expect_imu_decision_eq(ref_tr.imu[i], got_tr.imu[i], i);
 
-  ASSERT_EQ(off_tr.gps.size(), on.trace.gps.size());
-  for (std::size_t i = 0; i < off_tr.gps.size(); ++i) {
-    const auto& a = off_tr.gps[i];
-    const auto& b = on.trace.gps[i];
+  ASSERT_EQ(ref_tr.gps.size(), got_tr.gps.size());
+  for (std::size_t i = 0; i < ref_tr.gps.size(); ++i) {
+    const auto& a = ref_tr.gps[i];
+    const auto& b = got_tr.gps[i];
     EXPECT_EQ(a.t, b.t) << "gps fix " << i;
     EXPECT_EQ(a.running_mean_err, b.running_mean_err) << "gps fix " << i;
     EXPECT_EQ(a.pos_dev, b.pos_dev) << "gps fix " << i;
@@ -757,6 +711,13 @@ void expect_equivalent(const RcaReport& off, const RcaDecisionTrace& off_tr,
     EXPECT_EQ(a.alert, b.alert) << "gps fix " << i;
     EXPECT_EQ(a.coast_reset, b.coast_reset) << "gps fix " << i;
   }
+}
+
+// The streaming path against the offline analysis: the same evidence, plus
+// a live event stream consistent with it.
+void expect_equivalent(const RcaReport& off, const RcaDecisionTrace& off_tr,
+                       const StreamOutcome& on) {
+  expect_same_analysis(off, off_tr, on.report, on.trace);
 
   // The live event stream carries the same IMU evidence in the same order,
   // stamped with non-decreasing availability times.
@@ -870,7 +831,7 @@ TEST(StreamingEquivalence, CheckpointRestoreMidFlightIsBitwiseIdentical) {
     RcaDecisionTrace off_tr;
     const auto off = engine.analyze(test::lab(), f, {}, &off_tr);
     EXPECT_TRUE(off.imu_attacked);
-    const auto on = run_streaming_with_restart(f, m);
+    const auto on = run_streaming(f, m, {}, 1600, /*restart_mid_flight=*/true);
     EXPECT_EQ(on.shed, 0u) << "threads " << threads;
     expect_equivalent(off, off_tr, on);
   }
@@ -921,7 +882,6 @@ TEST(StreamingEquivalence, RecorderOnServingStaysScratchHeapFlat) {
   sched.attach(session);
 
   const auto audio = continuous_recording(f, m);
-  const double fs = audio.sample_rate;
   const std::size_t total = audio.num_samples();
   const std::size_t chunk = 1600;
   const std::size_t warm_end = total / 2;  // well past settle + pool warm-up
@@ -931,22 +891,7 @@ TEST(StreamingEquivalence, RecorderOnServingStaysScratchHeapFlat) {
   std::size_t imu_i = 0, gps_i = 0;
   for (std::size_t begin = 0; begin < total; begin += chunk) {
     const std::size_t end = std::min(begin + chunk, total);
-    const double until = static_cast<double>(end) / fs;
-    std::size_t imu_hi = imu_i;
-    while (imu_hi < f.log.imu.size() && f.log.imu[imu_hi].t <= until) ++imu_hi;
-    session.push_imu(std::span{f.log.imu}.subspan(imu_i, imu_hi - imu_i));
-    imu_i = imu_hi;
-    std::size_t gps_hi = gps_i;
-    while (gps_hi < f.log.gps.size() && f.log.gps[gps_hi].t <= until) ++gps_hi;
-    session.push_gps(std::span{f.log.gps}.subspan(gps_i, gps_hi - gps_i));
-    gps_i = gps_hi;
-    acoustics::MultiChannelAudio slice;
-    slice.sample_rate = fs;
-    for (std::size_t c = 0; c < sensors::kNumMics; ++c)
-      slice.channels[c].assign(
-          audio.channels[c].begin() + static_cast<std::ptrdiff_t>(begin),
-          audio.channels[c].begin() + static_cast<std::ptrdiff_t>(end));
-    session.push_audio(slice);
+    push_slice(session, f, audio, begin, end, imu_i, gps_i);
     sched.pump();
     if (begin < warm_end && warm_end <= end) baseline = heap_allocs.value();
   }
@@ -978,6 +923,105 @@ TEST(StreamingEquivalence, FaultedFlightMatchesOffline) {
   EXPECT_GE(off.health.gps_coast_intervals, 1u);
   EXPECT_FALSE(off.health.mic_alive(1));
   check_equivalence(f, hooks);
+}
+
+// ---------------------------------------------------------------------------
+// Independent oracle for the engine: RcaEngine::analyze must equal the
+// detector-level decomposition of the two-stage rule — residuals ->
+// ImuRcaDetector::analyze -> GpsRcaDetector::analyze of the mode the IMU
+// verdict selects — field for field.  The engine and the streaming session
+// share one decision core (RcaMonitor), so StreamingEquivalence cannot
+// see a fault in it; this comparison can.
+
+struct Decomposed {
+  RcaReport report;
+  RcaDecisionTrace trace;
+};
+
+Decomposed decomposed_analysis(const Flight& f, const PredictionHooks& hooks) {
+  const auto& p = pipeline();
+  Decomposed out;
+  RcaReport& r = out.report;
+  const auto preds = p.mapper->predict_flight(test::lab(), f, hooks, &r.health);
+  const auto imu = p.imu_det->analyze(ImuRcaDetector::residuals(f, preds, 10, &r.health),
+                                      &out.trace.imu);
+  r.imu_attacked = imu.attacked;
+  r.imu_detect_time = imu.detect_time;
+  r.health.imu_windows_skipped += imu.windows_skipped;
+  r.gps_mode_used =
+      imu.attacked ? GpsDetectorMode::kAudioOnly : GpsDetectorMode::kAudioImu;
+  const auto gps =
+      p.gps_det->analyze(f, preds, r.gps_mode_used, &out.trace.gps, &r.health);
+  r.gps_attacked = gps.attacked;
+  r.gps_detect_time = gps.detect_time;
+  out.trace.imu_attacked = r.imu_attacked;
+  out.trace.gps_attacked = r.gps_attacked;
+  out.trace.gps_mode = r.gps_mode_used;
+  out.trace.health = r.health;
+  return out;
+}
+
+RcaReport expect_engine_matches_decomposition(const Flight& f,
+                                              const PredictionHooks& hooks = {}) {
+  const auto& p = pipeline();
+  RcaEngine engine{*p.mapper, *p.imu_det, *p.gps_det};
+  RcaDecisionTrace trace;
+  const auto report = engine.analyze(test::lab(), f, hooks, &trace);
+  const auto ref = decomposed_analysis(f, hooks);
+  expect_same_analysis(ref.report, ref.trace, report, trace);
+  return report;
+}
+
+TEST(EngineOracle, BenignFlightMatchesDecomposition) {
+  const auto r = expect_engine_matches_decomposition(test::hover_flight(25.0, 430, 0.4));
+  EXPECT_FALSE(r.any_attack());
+}
+
+TEST(EngineOracle, ImuAttackFlightMatchesDecomposition) {
+  const auto r = expect_engine_matches_decomposition(
+      imu_attack_flight(attacks::ImuAttackType::kSideSwing, 431));
+  EXPECT_TRUE(r.imu_attacked);  // the audio-only GPS mode is the one compared
+  EXPECT_EQ(r.gps_mode_used, GpsDetectorMode::kAudioOnly);
+}
+
+TEST(EngineOracle, GpsSpoofFlightMatchesDecomposition) {
+  const auto r = expect_engine_matches_decomposition(gps_attack_flight(432));
+  EXPECT_TRUE(r.gps_attacked);
+}
+
+TEST(EngineOracle, DeadMicFlightMatchesDecomposition) {
+  PredictionHooks hooks;
+  hooks.audio_transform = [](acoustics::MultiChannelAudio& audio) {
+    for (auto& v : audio.channels[2]) v = 0.0;
+  };
+  const auto r =
+      expect_engine_matches_decomposition(test::hover_flight(25.0, 433, 0.4), hooks);
+  EXPECT_FALSE(r.health.mic_alive(2));
+}
+
+TEST(EngineOracle, GpsOutageFlightMatchesDecomposition) {
+  auto f = test::hover_flight(25.0, 434, 0.4);
+  faults::FaultPlan plan;
+  plan.gps.push_back({faults::GpsFaultType::kOutage, 1.0, 10.0, 15.0});
+  faults::apply_to_log(f.log, plan);
+  const auto r = expect_engine_matches_decomposition(f);
+  EXPECT_GE(r.health.gps_coast_intervals, 1u);
+}
+
+TEST(EngineOracle, LateGpsAcquisitionSeedsFromTheWholeLog) {
+  // The receiver has no fix until well after the second analysis window
+  // ends: the offline filters must seed from the first fix of the whole
+  // log, as GpsRcaDetector::analyze does, not from "no fix yet".
+  auto f = test::hover_flight(25.0, 435, 0.4);
+  const auto& ds = pipeline().mapper->config().dataset;
+  const auto grid = window_grid(ds.settle_time, ds.stride,
+                                ds.signature.window_seconds, f.log.duration());
+  ASSERT_GT(grid.size(), 2u);
+  const double acquired = grid[1].t1 + 3.0;
+  std::erase_if(f.log.gps, [&](const sim::GpsSample& fix) { return fix.t < acquired; });
+  ASSERT_FALSE(f.log.gps.empty());
+  ASSERT_GT(f.log.gps.front().t, grid[1].t1);
+  expect_engine_matches_decomposition(f);
 }
 
 }  // namespace

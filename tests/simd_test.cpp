@@ -623,14 +623,9 @@ TEST(WorkspaceTest, ManySessionPumpMakesNoHeapAllocations) {
   mapper.fit(test::lab(), flights);
   core::ImuRcaDetector imu{core::ImuRcaConfig{}};
   core::GpsRcaDetector gps{core::GpsRcaConfig{}};
-  const auto preds = mapper.predict_flight(test::lab(), flight);
-  imu.calibrate(core::ImuRcaDetector::residuals(flight, preds));
-  for (const auto mode :
-       {core::GpsDetectorMode::kAudioOnly, core::GpsDetectorMode::kAudioImu}) {
-    const std::vector<core::GpsRcaDetector::Result> results{
-        gps.analyze(flight, preds, mode)};
-    gps.calibrate(results, mode);
-  }
+  core::RcaCalibrator calibrator{imu, gps};
+  calibrator.add(flight, mapper.predict_flight(test::lab(), flight));
+  calibrator.fit();
   const auto audio =
       test::lab().synthesizer(flight).synthesize(flight.log, 0.0, 12.0);
 

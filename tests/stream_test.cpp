@@ -173,14 +173,9 @@ class StreamServingTest : public ::testing::Test {
     // is irrelevant here, but sessions require calibrated detectors.
     imu_ = new core::ImuRcaDetector{core::ImuRcaConfig{}};
     gps_ = new core::GpsRcaDetector{core::GpsRcaConfig{}};
-    const auto preds = mapper_->predict_flight(*lab_, *flight_);
-    imu_->calibrate(core::ImuRcaDetector::residuals(*flight_, preds));
-    for (const auto mode :
-         {core::GpsDetectorMode::kAudioOnly, core::GpsDetectorMode::kAudioImu}) {
-      const std::vector<core::GpsRcaDetector::Result> results{
-          gps_->analyze(*flight_, preds, mode)};
-      gps_->calibrate(results, mode);
-    }
+    core::RcaCalibrator calibrator{*imu_, *gps_};
+    calibrator.add(*flight_, mapper_->predict_flight(*lab_, *flight_));
+    calibrator.fit();
   }
   static void TearDownTestSuite() {
     delete gps_;

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "util/binary_io.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -243,6 +248,58 @@ TEST(Mat3, PitchRotatesBodyZ) {
   const Mat3 r = rotation_from_euler(0, 0.1, 0);
   const Vec3 thrust = r * Vec3{0, 0, -1};
   EXPECT_LT(thrust.x, 0.0);
+}
+
+// A CRC-valid payload may still carry a wild length prefix (a colliding
+// checksum, or a bug in a writer): the reader must refuse it before
+// allocating, not resize to whatever the prefix claims.
+TEST(BinaryIo, ReadPodVecRejectsCountBeyondBytesLeft) {
+  std::ostringstream os{std::ios::binary};
+  util::io::write_pod(os, std::uint64_t{1} << 20);  // claims 2^20 doubles
+  util::io::write_pod(os, 1.0);
+  util::io::write_pod(os, 2.0);  // 16 bytes actually left
+  std::istringstream is{os.str(), std::ios::binary};
+  std::vector<double> v;
+  EXPECT_FALSE(util::io::read_pod_vec(is, v));
+  EXPECT_EQ(v.capacity(), 0u);
+}
+
+TEST(BinaryIo, FrameRoundTripsAfterLeadingBytesAndNamesEachRejection) {
+  constexpr std::uint64_t kMagic = 0x5445535446524d31ULL;
+  const std::string body = "payload bytes";
+  std::ostringstream os{std::ios::binary};
+  os << "lead";  // a frame may sit after other bytes
+  ASSERT_TRUE(util::io::write_frame(os, kMagic, 3, body));
+  const std::string bytes = os.str();
+  ASSERT_EQ(bytes.size(), 4 + util::io::kFrameHeaderBytes + body.size());
+
+  const auto read = [&](const std::string& image, std::uint32_t version,
+                        std::string* payload = nullptr) {
+    std::istringstream is{image, std::ios::binary};
+    is.seekg(4);
+    std::string out;
+    const char* why = util::io::read_frame(is, kMagic, version, out);
+    if (payload) *payload = out;
+    return std::string{why ? why : ""};
+  };
+  std::string payload;
+  EXPECT_EQ(read(bytes, 3, &payload), "");
+  EXPECT_EQ(payload, body);
+  EXPECT_EQ(read(bytes, 4), "unsupported format version");
+  EXPECT_EQ(read(bytes.substr(0, bytes.size() - 1), 3),
+            "payload size mismatch (truncated or corrupt)");
+  EXPECT_EQ(read(bytes.substr(0, 10), 3), "truncated frame header");
+  std::string flipped = bytes;
+  flipped.back() = static_cast<char>(flipped.back() ^ 0x10);
+  EXPECT_EQ(read(flipped, 3), "checksum mismatch (bit-flipped or corrupt)");
+  std::string foreign = bytes;
+  foreign[4] = static_cast<char>(foreign[4] ^ 0xFF);
+  std::uint64_t seen = 0;
+  std::istringstream is{foreign, std::ios::binary};
+  is.seekg(4);
+  std::string out;
+  EXPECT_STREQ(util::io::read_frame(is, kMagic, 3, out, &seen), "unrecognized magic");
+  EXPECT_EQ(seen, kMagic ^ 0xFF);
 }
 
 }  // namespace
