@@ -7,6 +7,12 @@
 #include "util/thread_pool.hpp"
 
 namespace sb::acoustics {
+namespace {
+
+// Output samples rendered per block (about 1 s at 16 kHz).
+constexpr std::size_t kRenderBlock = 16384;
+
+}  // namespace
 
 AudioSynthesizer::AudioSynthesizer(const SynthesizerConfig& config,
                                    const sim::QuadrotorParams& quad,
@@ -45,7 +51,6 @@ MultiChannelAudio AudioSynthesizer::synthesize(const sim::FlightLog& log, double
                     (ground.gain_scale != 0.0 ? ground.delay_samples : 0);
 
   const auto n = static_cast<std::size_t>(std::llround((t1 - t0) * fs));
-  const std::size_t total = n + lead;
   const double start_t = t0 - static_cast<double>(lead) / fs;
 
   // Seed deterministically per (flight, window-start).
@@ -60,53 +65,92 @@ MultiChannelAudio AudioSynthesizer::synthesize(const sim::FlightLog& log, double
                                                                0.10};
   // Split the per-rotor rngs up front, in rotor order, so the parallel
   // synthesis below consumes exactly the streams the serial loop would.
-  std::array<Rng, sim::kMaxRotors> rotor_rngs{};
-  for (int r = 0; r < num_rotors; ++r)
-    rotor_rngs[static_cast<std::size_t>(r)] = base.split();
-
-  std::array<std::vector<double>, sim::kMaxRotors> rotor_signals;
-  util::parallel_for(static_cast<std::size_t>(num_rotors), [&](std::size_t ri) {
+  std::vector<RotorSound> rotors;
+  rotors.reserve(static_cast<std::size_t>(num_rotors));
+  for (int r = 0; r < num_rotors; ++r) {
+    const auto ri = static_cast<std::size_t>(r);
     RotorSoundConfig rotor_cfg = config_.rotor;
-    rotor_cfg.detune += config_.rotor_detune.empty()
-                            ? kDetune[ri % kDetune.size()]
-                            : config_.rotor_detune[ri];
-    RotorSound synth{rotor_cfg, fs, quad_.hover_omega(), rotor_rngs[ri]};
-    auto& sig = rotor_signals[ri];
-    sig.resize(total);
-    for (std::size_t i = 0; i < total; ++i) {
-      const double t = start_t + static_cast<double>(i) / fs;
-      // Sample-and-hold rotor speed from the physics-rate timeline.
-      double omega = quad_.hover_omega();
-      if (!log.rotor_omega.empty()) {
-        const auto idx = static_cast<std::size_t>(
-            std::clamp(t / physics_dt, 0.0,
-                       static_cast<double>(log.rotor_omega.size() - 1)));
-        omega = log.rotor_omega[idx][ri];
-      }
-      sig[i] = synth.sample(omega);
-    }
-  }, 1);
-
-  // Body-frame air velocity per output sample, for airflow directivity.
-  std::vector<Vec3> flow(n);
-  util::parallel_for_ranges(n, [&](std::size_t i0, std::size_t i1) {
-    if (log.t.empty()) return;
-    for (std::size_t i = i0; i < i1; ++i) {
-      const double t = t0 + static_cast<double>(i) / fs;
-      const auto idx = static_cast<std::size_t>(std::clamp(
-          t / physics_dt, 0.0, static_cast<double>(log.t.size() - 1)));
-      const Vec3& e = log.true_euler[idx];
-      const Mat3 r = rotation_from_euler(e.x, e.y, e.z);
-      flow[i] = r.transposed() * log.true_vel[idx];
-    }
-  });
-
+    rotor_cfg.detune += config_.rotor_detune.empty() ? kDetune[ri % kDetune.size()]
+                                                     : config_.rotor_detune[ri];
+    rotors.emplace_back(rotor_cfg, fs, quad_.hover_omega(), base.split());
+  }
   Rng ambient_rng = base.split();
-  return mix_to_mics(
-      std::span<const std::vector<double>>{rotor_signals.data(),
-                                           static_cast<std::size_t>(num_rotors)},
-      lead, geometry_, fs, config_.mic_array.ambient_noise, ambient_rng, flow,
-      config_.flow_directivity, ground);
+
+  // Rendered in fixed blocks of output samples so memory stays
+  // O(recording + rotors x block) however long the span.  Each rotor buffer
+  // holds the source samples [o0, o0 + lead + len) of block [o0, o0 + len):
+  // its first `lead` samples are the previous block's tail, so every delayed
+  // tap reads exactly the sample a one-shot render would, and each rotor's
+  // RotorSound advances through the same sample sequence — the block size
+  // changes memory, never bits.
+  std::array<std::vector<double>, sim::kMaxRotors> rotor_buf;
+  std::vector<Vec3> flow;
+  Rng no_ambient;  // the per-block mix draws nothing; noise is added below
+  MultiChannelAudio out;
+  out.sample_rate = fs;
+  for (auto& ch : out.channels) ch.reserve(n);
+  for (std::size_t o0 = 0; o0 < n; o0 += kRenderBlock) {
+    const std::size_t len = std::min(kRenderBlock, n - o0);
+    util::parallel_for(static_cast<std::size_t>(num_rotors), [&](std::size_t ri) {
+      // Worker-local copy of the oscillator/filter state: neighbouring
+      // rotors' states share cache lines, and per-sample writes to them from
+      // several workers would false-share.
+      RotorSound synth = rotors[ri];
+      auto& buf = rotor_buf[ri];
+      std::size_t k = 0;
+      if (o0 > 0) {
+        std::copy(buf.end() - static_cast<std::ptrdiff_t>(lead), buf.end(),
+                  buf.begin());
+        k = lead;
+      }
+      buf.resize(lead + len);
+      for (; k < lead + len; ++k) {
+        const double t = start_t + static_cast<double>(o0 + k) / fs;
+        // Sample-and-hold rotor speed from the physics-rate timeline.
+        double omega = quad_.hover_omega();
+        if (!log.rotor_omega.empty()) {
+          const auto idx = static_cast<std::size_t>(
+              std::clamp(t / physics_dt, 0.0,
+                         static_cast<double>(log.rotor_omega.size() - 1)));
+          omega = log.rotor_omega[idx][ri];
+        }
+        buf[k] = synth.sample(omega);
+      }
+      rotors[ri] = synth;
+    }, 1);
+
+    // Body-frame air velocity per output sample, for airflow directivity.
+    flow.assign(len, Vec3{});
+    util::parallel_for_ranges(len, [&](std::size_t i0, std::size_t i1) {
+      if (log.t.empty()) return;
+      for (std::size_t i = i0; i < i1; ++i) {
+        const double t = t0 + static_cast<double>(o0 + i) / fs;
+        const auto idx = static_cast<std::size_t>(std::clamp(
+            t / physics_dt, 0.0, static_cast<double>(log.t.size() - 1)));
+        const Vec3& e = log.true_euler[idx];
+        const Mat3 r = rotation_from_euler(e.x, e.y, e.z);
+        flow[i] = r.transposed() * log.true_vel[idx];
+      }
+    });
+
+    const auto block = mix_to_mics(
+        std::span<const std::vector<double>>{rotor_buf.data(),
+                                             static_cast<std::size_t>(num_rotors)},
+        lead, geometry_, fs, 0.0, no_ambient, flow, config_.flow_directivity,
+        ground);
+    for (std::size_t c = 0; c < sensors::kNumMics; ++c)
+      out.channels[c].insert(out.channels[c].end(), block.channels[c].begin(),
+                             block.channels[c].end());
+  }
+
+  // Ambient noise is drawn after the whole mix, over whole channels in mic
+  // order — the draw order of a one-shot mix_to_mics, so the noise does not
+  // depend on the block size either.
+  const double ambient = config_.mic_array.ambient_noise;
+  if (ambient > 0.0)
+    for (auto& ch : out.channels)
+      for (auto& x : ch) x += ambient_rng.normal(0.0, ambient);
+  return out;
 }
 
 }  // namespace sb::acoustics

@@ -37,9 +37,14 @@ class AudioSynthesizer {
   AudioSynthesizer(const SynthesizerConfig& config, const sim::QuadrotorParams& quad,
                    std::uint64_t seed);
 
-  // Synthesizes the microphone recording for flight time [t0, t1).
-  // Deterministic given (seed, t0): the same window always produces the same
-  // audio, so pipeline stages can re-window a flight independently.
+  // Synthesizes the microphone recording for flight time [t0, t1):
+  // llround((t1 - t0) * fs) samples per channel.  Deterministic given
+  // (seed, t0): the same span always produces the same audio.  The pipeline
+  // renders a flight once, from t = 0 to the end of its log
+  // (core::FlightLab::recording), and cuts every analysis window from that
+  // one recording.  Rendering runs in fixed blocks with the rotor state
+  // carried across them, so memory is O(recording + rotors x block) and the
+  // output does not depend on the block size.
   MultiChannelAudio synthesize(const sim::FlightLog& log, double t0, double t1) const;
 
   const sensors::MicGeometry& geometry() const { return geometry_; }

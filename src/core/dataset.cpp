@@ -12,7 +12,6 @@ namespace sb::core {
 namespace {
 
 struct WindowResult {
-  bool valid = false;
   ml::Tensor sig;
   std::array<float, kLabelDim> label{};
 };
@@ -47,27 +46,6 @@ void enforce_disjoint_split(std::span<const std::int64_t> train_ids,
 DatasetBuilder::DatasetBuilder(const DatasetConfig& config, const FlightLab& lab)
     : config_(config), lab_(&lab), shape_(signature_shape(config.signature)) {}
 
-void DatasetBuilder::append_window(const Flight& flight,
-                                   const acoustics::AudioSynthesizer& synth,
-                                   double t0, double capture_len) {
-  const double t1 = t0 + capture_len;
-  if (t1 > flight.log.duration()) return;
-
-  const auto audio = synth.synthesize(flight.log, t0, t1);
-  const ml::Tensor sig = compute_signature(audio, config_.signature);
-  xs_.insert(xs_.end(), sig.flat().begin(), sig.flat().end());
-
-  // Labels: intact-IMU acceleration (paper §III-B) plus the benign
-  // autopilot's navigation velocity — the "audio-derived velocity" target
-  // the GPS-stage Kalman filters consume as their measurement.
-  const Vec3 accel = flight.log.mean_imu_accel(t0, t1);
-  const Vec3 vel = flight.log.mean_nav_vel(t0, t1);
-  for (double v : {accel.x, accel.y, accel.z, vel.x, vel.y, vel.z})
-    ys_.push_back(static_cast<float>(v));
-  window_flight_ids_.push_back(kNoFlightId);
-  ++count_;
-}
-
 void DatasetBuilder::add_flight(const Flight& flight) {
   add_flight(flight, kNoFlightId);
 }
@@ -79,40 +57,49 @@ void DatasetBuilder::add_flight(const Flight& flight, std::int64_t flight_id) {
 void DatasetBuilder::add_flight(const Flight& flight, std::int64_t flight_id,
                                 const FlightLab& lab) {
   obs::ScopedSpan span{"dataset_add_flight", obs::Stage::kSynthesis};
-  const auto synth = lab.synthesizer(flight);
+  const auto recording = lab.recording(flight);
+  const double fs = recording.sample_rate;
   const double base = config_.signature.window_seconds;
   const double end = flight.log.duration();
 
-  // Enumerate the (start, length) grid up front; each window's synthesis +
-  // signature is independent, so they run in parallel into indexed slots and
-  // are appended in grid order afterwards — same corpus as the serial loop.
+  // Enumerate the (start, length) grid up front: every base window and its
+  // augmentation captures are cuts of the one recording.  Cutting +
+  // signature are independent per window, so they run in parallel into
+  // indexed slots and are appended in grid order afterwards — same corpus
+  // as the serial loop.
   struct WindowTask {
     double t0, len;
+    SampleRange samples;
   };
   std::vector<WindowTask> tasks;
+  const auto add_task = [&](double t0, double len) {
+    const SampleRange r = window_samples(t0, len, fs);
+    if (t0 + len <= end && r.begin + r.length <= recording.num_samples())
+      tasks.push_back({t0, len, r});
+  };
   for (const WindowSpan& w : window_grid(config_.settle_time, config_.stride, base, end)) {
-    tasks.push_back({w.t0, base});
-    for (double factor : config_.augmentation_factors)
-      tasks.push_back({w.t0, factor * base});
+    add_task(w.t0, base);
+    for (double factor : config_.augmentation_factors) add_task(w.t0, factor * base);
   }
 
   std::vector<WindowResult> results(tasks.size());
   util::parallel_for(tasks.size(), [&](std::size_t w) {
-    const double t1 = tasks[w].t0 + tasks[w].len;
-    if (t1 > flight.log.duration()) return;
-    const auto audio = synth.synthesize(flight.log, tasks[w].t0, t1);
-    results[w].sig = compute_signature(audio, config_.signature);
-    const Vec3 accel = flight.log.mean_imu_accel(tasks[w].t0, t1);
-    const Vec3 vel = flight.log.mean_nav_vel(tasks[w].t0, t1);
+    const WindowTask& task = tasks[w];
+    results[w].sig =
+        compute_signature(cut_window(recording, task.samples), config_.signature);
+    // Labels: intact-IMU acceleration (paper §III-B) plus the benign
+    // autopilot's navigation velocity — the "audio-derived velocity" target
+    // the GPS-stage Kalman filters consume as their measurement.
+    const double t1 = task.t0 + task.len;
+    const Vec3 accel = flight.log.mean_imu_accel(task.t0, t1);
+    const Vec3 vel = flight.log.mean_nav_vel(task.t0, t1);
     const std::array<double, kLabelDim> label{accel.x, accel.y, accel.z,
                                               vel.x,   vel.y,   vel.z};
     for (std::size_t j = 0; j < kLabelDim; ++j)
       results[w].label[j] = static_cast<float>(label[j]);
-    results[w].valid = true;
   });
 
   for (const auto& r : results) {
-    if (!r.valid) continue;
     xs_.insert(xs_.end(), r.sig.flat().begin(), r.sig.flat().end());
     ys_.insert(ys_.end(), r.label.begin(), r.label.end());
     window_flight_ids_.push_back(flight_id);

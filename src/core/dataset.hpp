@@ -1,8 +1,9 @@
 // Training-corpus construction: slides the signature window over recorded
 // flights, pairs each window with the intact IMU's mean NED acceleration
 // (the ground-truth label, §III-B), and applies time-shift augmentation —
-// re-capturing each window at stretched lengths to simulate head/tail winds
-// (Fig. 3, Tab. I).
+// capturing each window again at stretched lengths to simulate head/tail
+// winds (Fig. 3, Tab. I).  Every window, augmentation captures included, is a
+// cut of the flight's one recording (FlightLab::recording).
 #pragma once
 
 #include <cstdint>
@@ -58,14 +59,15 @@ class DatasetBuilder {
  public:
   DatasetBuilder(const DatasetConfig& config, const FlightLab& lab);
 
-  // Extracts all windows of one flight and appends them to the corpus.
+  // Renders the flight's recording once, cuts all its windows from it and
+  // appends them to the corpus.
   // The id variant records `flight_id` as the provenance of every window it
   // appends, feeding the disjointness guard; the plain variant records
   // kNoFlightId (unknown provenance).
   void add_flight(const Flight& flight);
   void add_flight(const Flight& flight, std::int64_t flight_id);
-  // Multi-lab corpora (scenario matrix): synthesizes this flight's windows
-  // with `lab`'s synthesizer instead of the builder's own, so one corpus can
+  // Multi-lab corpora (scenario matrix): records this flight with `lab`'s
+  // synthesizer instead of the builder's own, so one corpus can
   // span airframes/environments whose acoustics differ.  The signature
   // config (and therefore the tensor shape) stays the builder's.
   void add_flight(const Flight& flight, std::int64_t flight_id,
@@ -82,10 +84,6 @@ class DatasetBuilder {
   ml::RegressionDataset build() const;
 
  private:
-  void append_window(const Flight& flight,
-                     const acoustics::AudioSynthesizer& synth, double t0,
-                     double capture_len);
-
   DatasetConfig config_;
   const FlightLab* lab_;
   SignatureShape shape_;

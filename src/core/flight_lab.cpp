@@ -127,6 +127,10 @@ acoustics::AudioSynthesizer FlightLab::synthesizer(const Flight& flight) const {
   return acoustics::AudioSynthesizer{config_.synth, config_.quad, flight.audio_seed};
 }
 
+acoustics::MultiChannelAudio FlightLab::recording(const Flight& flight) const {
+  return synthesizer(flight).synthesize(flight.log, 0.0, flight.log.duration());
+}
+
 std::vector<FlightScenario> FlightLab::training_scenarios(int per_family,
                                                           double duration) const {
   std::vector<FlightScenario> out;

@@ -66,6 +66,13 @@ class FlightLab {
   // Audio synthesizer bound to a specific flight's seed.
   acoustics::AudioSynthesizer synthesizer(const Flight& flight) const;
 
+  // The flight's microphone recording: one continuous capture from t = 0 to
+  // the end of the log, synthesizer(flight).synthesize(log, 0, duration).
+  // Offline consumers cut every analysis window from it (core::cut_window),
+  // and it is the stream a live deployment pushes, so both paths see the
+  // same audio at every instant.
+  acoustics::MultiChannelAudio recording(const Flight& flight) const;
+
   const Config& config() const { return config_; }
 
   // The 6 training scenario families of §IV-A (hover, ascent/descent,

@@ -173,21 +173,21 @@ void SensoryMapper::standardize(ml::Tensor& x) const {
   }
 }
 
+std::vector<WindowSpan> SensoryMapper::flight_grid(const Flight& flight) const {
+  return window_grid(config_.dataset.settle_time, config_.dataset.stride,
+                     config_.dataset.signature.window_seconds, flight.log.duration());
+}
+
 std::vector<SensoryMapper::WindowAudio> SensoryMapper::synthesize_windows(
     const FlightLab& lab, const Flight& flight) const {
   obs::ScopedSpan span{"synthesize_windows", obs::Stage::kSynthesis};
-  const auto synth = lab.synthesizer(flight);
-  const auto grid =
-      window_grid(config_.dataset.settle_time, config_.dataset.stride,
-                  config_.dataset.signature.window_seconds, flight.log.duration());
-
-  // Window synthesis is seeded per (flight, window-start), so parallel
-  // filling of indexed slots reproduces the serial loop exactly.
-  std::vector<WindowAudio> out(grid.size());
-  util::parallel_for(grid.size(), [&](std::size_t i) {
-    out[i] = {grid[i].t0, grid[i].t1,
-              synth.synthesize(flight.log, grid[i].t0, grid[i].t1)};
-  });
+  const auto recording = lab.recording(flight);
+  const double len = config_.dataset.signature.window_seconds;
+  std::vector<WindowAudio> out;
+  for (const WindowSpan& w : flight_grid(flight))
+    out.push_back({w.t0, w.t1,
+                   cut_window(recording,
+                              window_samples(w.t0, len, recording.sample_rate))});
   return out;
 }
 
@@ -260,6 +260,44 @@ std::vector<TimedPrediction> SensoryMapper::predict_prepared(
 std::vector<TimedPrediction> SensoryMapper::predict_windows(
     std::span<const WindowAudio> windows, const PredictionHooks& hooks,
     faults::HealthReport* health) const {
+  std::vector<WindowSpan> spans(windows.size());
+  for (std::size_t i = 0; i < windows.size(); ++i)
+    spans[i] = {windows[i].t0, windows[i].t1};
+  return predict_spans(
+      spans,
+      [&](std::size_t i, std::array<bool, sensors::kNumMics>* healthy) {
+        return prepare_signature(windows[i].audio, hooks, healthy);
+      },
+      health);
+}
+
+std::vector<TimedPrediction> SensoryMapper::predict_flight(
+    const FlightLab& lab, const Flight& flight, const PredictionHooks& hooks,
+    faults::HealthReport* health) const {
+  const auto recording = lab.recording(flight);
+  const auto grid = flight_grid(flight);
+  // Ranges are checked here, serially, so a window past the recording's end
+  // throws to the caller instead of inside a pool worker.
+  std::vector<SampleRange> ranges(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    ranges[i] = window_samples(grid[i].t0, config_.dataset.signature.window_seconds,
+                               recording.sample_rate);
+    if (ranges[i].begin + ranges[i].length > recording.num_samples())
+      throw std::out_of_range{"predict_flight: window runs past the recording"};
+  }
+  // Each worker cuts its window, prepares the signature and drops the copy,
+  // so no more than one window per worker is alive next to the recording.
+  return predict_spans(
+      grid,
+      [&](std::size_t i, std::array<bool, sensors::kNumMics>* healthy) {
+        return prepare_signature(cut_window(recording, ranges[i]), hooks, healthy);
+      },
+      health);
+}
+
+std::vector<TimedPrediction> SensoryMapper::predict_spans(
+    std::span<const WindowSpan> spans, const PrepareFn& prepare,
+    faults::HealthReport* health) const {
   obs::ScopedSpan span{"predict_windows", obs::Stage::kPredict};
   if (!trained_) throw std::logic_error{"SensoryMapper: predict before fit"};
 
@@ -267,12 +305,11 @@ std::vector<TimedPrediction> SensoryMapper::predict_windows(
   // runs in parallel; see PredictionHooks for the concurrency contract.
   // Channel diagnosis writes only its own window's slot; the health tally
   // and obs counters are reduced serially after the loop.
-  std::vector<ml::Tensor> sigs(windows.size());
+  std::vector<ml::Tensor> sigs(spans.size());
   std::vector<std::array<bool, sensors::kNumMics>> healthy;
-  if (health) healthy.assign(windows.size(), {});
-  util::parallel_for(windows.size(), [&](std::size_t i) {
-    sigs[i] = prepare_signature(windows[i].audio, hooks,
-                                health ? &healthy[i] : nullptr);
+  if (health) healthy.assign(spans.size(), {});
+  util::parallel_for(spans.size(), [&](std::size_t i) {
+    sigs[i] = prepare(i, health ? &healthy[i] : nullptr);
   });
 
   if (health) {
@@ -288,7 +325,7 @@ std::vector<TimedPrediction> SensoryMapper::predict_windows(
         }
       if (any) ++degraded;
     }
-    health->windows_total += windows.size();
+    health->windows_total += spans.size();
     health->windows_degraded += degraded;
     if (masked_total > 0) {
       static obs::Counter& masked =
@@ -302,24 +339,15 @@ std::vector<TimedPrediction> SensoryMapper::predict_windows(
   // grid-order chunks — bitwise identical to per-window forwards because
   // every op processes batch rows independently (pinned by ml_test).
   std::vector<TimedPrediction> out;
-  out.reserve(windows.size());
+  out.reserve(spans.size());
   constexpr std::size_t kInferBatch = 64;
-  for (std::size_t start = 0; start < windows.size(); start += kInferBatch) {
-    const std::size_t end = std::min(start + kInferBatch, windows.size());
-    std::vector<WindowSpan> spans(end - start);
-    for (std::size_t i = start; i < end; ++i)
-      spans[i - start] = {windows[i].t0, windows[i].t1};
-    auto chunk = predict_prepared(
-        std::span<const ml::Tensor>{sigs.data() + start, end - start}, spans);
+  for (std::size_t start = 0; start < spans.size(); start += kInferBatch) {
+    const std::size_t n = std::min(kInferBatch, spans.size() - start);
+    auto chunk = predict_prepared(std::span<const ml::Tensor>{sigs.data() + start, n},
+                                  spans.subspan(start, n));
     out.insert(out.end(), chunk.begin(), chunk.end());
   }
   return out;
-}
-
-std::vector<TimedPrediction> SensoryMapper::predict_flight(
-    const FlightLab& lab, const Flight& flight, const PredictionHooks& hooks,
-    faults::HealthReport* health) const {
-  return predict_windows(synthesize_windows(lab, flight), hooks, health);
 }
 
 namespace {
@@ -435,8 +463,16 @@ bool SensoryMapper::load(std::istream& file, const std::string& path) {
     if (!is) return false;
   }
 
+  // The standardization vectors are sized by the configured signature, and
+  // the count is checked against the bytes left before anything is
+  // allocated: a crafted count must fail the load, not the allocator.
+  const auto shape = signature_shape(config_.dataset.signature);
+  const std::uint64_t expected_feat = shape.channels * shape.frames * shape.bands;
   std::uint64_t feat = 0;
-  if (!read_pod(is, feat)) return false;
+  if (!read_pod(is, feat) || feat != expected_feat) return false;
+  const std::streamsize left = is.rdbuf()->in_avail();
+  if (left < 0 || 2 * feat * sizeof(float) > static_cast<std::uint64_t>(left))
+    return false;
   feat_mean_.resize(feat);
   feat_inv_std_.resize(feat);
   is.read(reinterpret_cast<char*>(feat_mean_.data()),

@@ -74,9 +74,10 @@ class SensoryMapper {
     acoustics::MultiChannelAudio audio;
   };
 
-  // Synthesizes all analysis windows of a flight once; the result can be fed
-  // to predict_windows repeatedly (e.g. under different sound-attack
-  // transforms) without re-synthesizing.
+  // Cuts all analysis windows of a flight from its recording
+  // (FlightLab::recording, rendered once) with the window_samples rule; the
+  // result can be fed to predict_windows repeatedly (e.g. under different
+  // sound-attack transforms) without re-synthesizing.
   std::vector<WindowAudio> synthesize_windows(const FlightLab& lab,
                                               const Flight& flight) const;
 
@@ -112,7 +113,10 @@ class SensoryMapper {
   std::vector<TimedPrediction> predict_prepared(
       std::span<const ml::Tensor> sigs, std::span<const WindowSpan> spans) const;
 
-  // Acceleration predictions at `stride` spacing across a flight.
+  // Acceleration predictions at `stride` spacing across a flight: renders
+  // the recording once and cuts each window inside the worker that prepares
+  // its signature, so no window set is materialized — bitwise
+  // predict_windows(synthesize_windows(lab, flight)).
   std::vector<TimedPrediction> predict_flight(
       const FlightLab& lab, const Flight& flight,
       const PredictionHooks& hooks = {},
@@ -169,6 +173,18 @@ class SensoryMapper {
   bool load(std::istream& is, const std::string& label = "<stream>");
 
  private:
+  // The flight's analysis-window grid under this mapper's dataset config.
+  std::vector<WindowSpan> flight_grid(const Flight& flight) const;
+  // The one prediction loop behind predict_windows and predict_flight:
+  // prepare(i, healthy) yields window i's signature on a pool worker
+  // (`healthy` is null without `health`); channel health is tallied
+  // serially, then the windows run through grid-order batched forwards.
+  using PrepareFn = std::function<ml::Tensor(
+      std::size_t, std::array<bool, sensors::kNumMics>*)>;
+  std::vector<TimedPrediction> predict_spans(std::span<const WindowSpan> spans,
+                                             const PrepareFn& prepare,
+                                             faults::HealthReport* health) const;
+
   // Applies the training-set feature standardization in place.
   void standardize(ml::Tensor& x) const;
 

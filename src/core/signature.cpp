@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <span>
 #include <stdexcept>
 
@@ -23,6 +24,25 @@ std::vector<WindowSpan> window_grid(double settle, double stride,
   for (double t0 = settle; t0 + window_seconds <= duration; t0 += stride)
     grid.push_back({t0, t0 + window_seconds});
   return grid;
+}
+
+SampleRange window_samples(double t0, double seconds, double sample_rate) {
+  return {static_cast<std::size_t>(std::llround(std::max(t0, 0.0) * sample_rate)),
+          static_cast<std::size_t>(std::llround(seconds * sample_rate))};
+}
+
+acoustics::MultiChannelAudio cut_window(const acoustics::MultiChannelAudio& recording,
+                                        SampleRange range) {
+  if (range.begin + range.length > recording.num_samples())
+    throw std::out_of_range{"cut_window: range runs past the recording"};
+  acoustics::MultiChannelAudio out;
+  out.sample_rate = recording.sample_rate;
+  const auto first = static_cast<std::ptrdiff_t>(range.begin);
+  const auto last = static_cast<std::ptrdiff_t>(range.begin + range.length);
+  for (std::size_t c = 0; c < sensors::kNumMics; ++c)
+    out.channels[c].assign(recording.channels[c].begin() + first,
+                           recording.channels[c].begin() + last);
+  return out;
 }
 
 ml::Tensor compute_signature(const acoustics::MultiChannelAudio& audio,

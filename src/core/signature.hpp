@@ -45,6 +45,24 @@ struct WindowSpan {
 std::vector<WindowSpan> window_grid(double settle, double stride,
                                     double window_seconds, double duration);
 
+// Samples [begin, begin + length) of a recording whose first sample is t = 0.
+struct SampleRange {
+  std::size_t begin = 0;
+  std::size_t length = 0;
+};
+
+// The samples a window of `seconds` starting at `t0` covers:
+// [llround(max(t0, 0) * fs), + llround(seconds * fs)).  The one slicing
+// rule: offline windowing cuts windows from a flight's recording with it and
+// the streaming extractor cuts them from the pushed stream with it, so both
+// paths analyze the same samples.
+SampleRange window_samples(double t0, double seconds, double sample_rate);
+
+// Copies `range` of every channel out of `recording`.  Throws
+// std::out_of_range when the range runs past the recording's end.
+acoustics::MultiChannelAudio cut_window(const acoustics::MultiChannelAudio& recording,
+                                        SampleRange range);
+
 // Computes the signature of one audio window.  The window may be LONGER than
 // the base window (time-shift augmentation): the STFT hop is stretched so the
 // output grid always has exactly `target_frames` frames, exposing the whole

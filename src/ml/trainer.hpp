@@ -48,13 +48,15 @@ struct TrainConfig {
   bool verbose = false;
 };
 
-// Schema tag for training-math compatibility: bumped whenever a trainer
-// change alters the numeric results of train_regressor for the same seeds
-// (not just its speed).  Cached trained-model artifacts — the bench model
-// caches — key their filenames on this tag so stale weights retrain instead
-// of silently masquerading as current results.  "tr2" = sharded
-// data-parallel engine with ghost batch-norm statistics (grain 8).
-inline const char* trainer_schema_tag() { return "tr2"; }
+// Schema tag for training-math compatibility: bumped whenever a change
+// alters the numeric results of training for the same seeds — the trainer
+// itself or the corpus it is fed (not just its speed).  Cached
+// trained-model artifacts — the bench model caches — key their filenames on
+// this tag so stale weights retrain instead of silently masquerading as
+// current results.  "tr2" = sharded data-parallel engine with ghost
+// batch-norm statistics (grain 8); "tr3" = the same engine trained on
+// windows cut from one recording per flight.
+inline const char* trainer_schema_tag() { return "tr3"; }
 
 struct TrainResult {
   std::vector<double> train_mse_per_epoch;

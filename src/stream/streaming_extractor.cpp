@@ -1,7 +1,6 @@
 #include "stream/streaming_extractor.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "util/binary_io.hpp"
@@ -14,15 +13,14 @@ StreamingFeatureExtractor::StreamingFeatureExtractor(
   if (config_.sample_rate <= 0.0 || config_.stride <= 0.0 ||
       config_.window_seconds <= 0.0)
     throw std::invalid_argument{"StreamingFeatureExtractor: non-positive config"};
-  window_len_ = static_cast<std::size_t>(
-      std::llround(config_.window_seconds * config_.sample_rate));
+  window_len_ =
+      core::window_samples(0.0, config_.window_seconds, config_.sample_rate).length;
   if (window_len_ == 0)
     throw std::invalid_argument{"StreamingFeatureExtractor: empty window"};
 }
 
 std::size_t StreamingFeatureExtractor::window_begin(double t0) const {
-  const auto idx = std::llround(std::max(t0, 0.0) * config_.sample_rate);
-  return static_cast<std::size_t>(idx);
+  return core::window_samples(t0, config_.window_seconds, config_.sample_rate).begin;
 }
 
 void StreamingFeatureExtractor::trim() {

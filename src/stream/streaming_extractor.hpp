@@ -1,15 +1,17 @@
 // Ring-buffered incremental window slicing for the online serving runtime.
 //
-// The offline pipeline synthesizes each analysis window as its own audio
-// capture; a live deployment instead sees ONE continuous multi-channel
-// stream arriving chunk by chunk.  StreamingFeatureExtractor buffers that
-// stream and emits an analysis window the moment its last sample arrives,
-// enumerating exactly the core::window_grid the offline path analyzes.  The
-// emitted audio is a verbatim slice of the stream, so downstream signature
-// extraction (SensoryMapper::prepare_signature) is bit-identical to the
-// offline path whenever the stream itself matches the offline windows'
-// concatenation — pinned by stream_test and the integration equivalence
-// suite.
+// The offline pipeline cuts its analysis windows from a flight's whole
+// recording; a live deployment sees the same kind of continuous
+// multi-channel stream, but arriving chunk by chunk.
+// StreamingFeatureExtractor buffers that stream and emits an analysis window
+// the moment its last sample arrives, enumerating exactly the
+// core::window_grid the offline path analyzes and cutting each window with
+// the same core::window_samples rule.  The emitted audio is a verbatim slice
+// of the stream, so downstream signature extraction
+// (SensoryMapper::prepare_signature) is bit-identical to the offline path
+// whenever the stream is the flight's recording — pinned by stream_test and,
+// on the pipeline mapper at its default stride, by the integration
+// equivalence suite.
 #pragma once
 
 #include <cstddef>
@@ -40,10 +42,9 @@ class StreamingFeatureExtractor {
   std::vector<core::SensoryMapper::WindowAudio> push(
       const acoustics::MultiChannelAudio& chunk);
 
-  // Window k covers samples [begin, begin + length) of the stream, with
-  // begin = llround(t0_k * fs) — the same rounding the synthesizer uses to
-  // size a window, so a re-sliced continuous stream lands on the exact
-  // samples an offline per-window capture holds.
+  // Window k covers the samples core::window_samples(t0_k, window_seconds,
+  // fs) of the stream — the rule the offline path cuts a flight's recording
+  // with.
   std::size_t window_length() const { return window_len_; }
 
   std::size_t samples_pushed() const { return next_abs_; }

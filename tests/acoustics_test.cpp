@@ -341,11 +341,28 @@ TEST(GoldenQuad, AudioBitwiseIdenticalToSeed) {
   s.seed = 42;
   const auto flight = lab.fly(s);
   const auto synth = lab.synthesizer(flight);
-  const auto audio = synth.synthesize(flight.log, 3.0, 4.0);
-  std::uint32_t crc = 0;
-  for (const auto& ch : audio.channels)
-    for (double x : ch) crc = util::crc32(&x, sizeof x, crc);
-  EXPECT_EQ(crc, 0x950d243bu);
+  const auto crc_of = [](const MultiChannelAudio& audio) {
+    std::uint32_t crc = 0;
+    for (const auto& ch : audio.channels)
+      for (double x : ch) crc = util::crc32(&x, sizeof x, crc);
+    return crc;
+  };
+  EXPECT_EQ(crc_of(synth.synthesize(flight.log, 3.0, 4.0)), 0x950d243bu);
+
+  // Multi-block renders (the renderer works in ~1 s blocks): the whole
+  // flight from t = 0, as FlightLab::recording renders it, and a 4 s span
+  // from t = 2 s.  CRCs captured from the one-shot renderer, before block
+  // rendering, so a wrong carried tail, block boundary or ambient-noise draw
+  // order shows here.
+  ASSERT_GT(flight.log.duration(), 9.0);
+  EXPECT_EQ(crc_of(lab.recording(flight)), 0x528039bcu);
+  EXPECT_EQ(crc_of(synth.synthesize(flight.log, 2.0, 6.0)), 0x56437275u);
+  // Ground reflection lengthens the carried tail by the bounce delay.
+  SynthesizerConfig grounded = lab.config().synth;
+  grounded.ground_reflect = 0.5;
+  grounded.ground_altitude_m = 3.0;
+  const AudioSynthesizer ground_synth{grounded, lab.config().quad, flight.audio_seed};
+  EXPECT_EQ(crc_of(ground_synth.synthesize(flight.log, 0.0, 4.0)), 0x4fd008fdu);
 }
 
 }  // namespace

@@ -88,8 +88,9 @@ TEST(Signature, RemoveFrequencyGroupSilences) {
   remove_frequency_group(sig, dsp::FreqGroup::kAerodynamic, cfg);
   const std::size_t bands = sig.dim(3);
   for (std::size_t i = 0; i < sig.numel(); ++i) {
-    if (dsp::group_of_band(i % bands, cfg.bands) == dsp::FreqGroup::kAerodynamic)
+    if (dsp::group_of_band(i % bands, cfg.bands) == dsp::FreqGroup::kAerodynamic) {
       EXPECT_FLOAT_EQ(sig[i], static_cast<float>(dsp::kSilenceFeature));
+    }
   }
 }
 
@@ -193,6 +194,35 @@ TEST(Dataset, AugmentationMultipliesWindows) {
   b2.add_flight(f);
   EXPECT_GT(b2.size(), b1.size());
   EXPECT_LE(b2.size(), 2 * b1.size());
+}
+
+TEST(Dataset, WindowsAndCapturesAreCutsOfTheFlightRecording) {
+  // Every corpus row — base windows at an overlapping stride and their 2x
+  // augmentation captures — is the signature of a cut of the flight's one
+  // recording, in grid order.
+  DatasetConfig cfg;
+  cfg.stride = 0.25;
+  cfg.augmentation_factors = {2.0};
+  DatasetBuilder builder{cfg, test::lab()};
+  const auto f = test::hover_flight(5.0, 12);
+  builder.add_flight(f);
+  const auto data = builder.build();
+
+  const auto recording = test::lab().recording(f);
+  const double base = cfg.signature.window_seconds;
+  std::vector<float> expected;
+  for (const WindowSpan& w :
+       window_grid(cfg.settle_time, cfg.stride, base, f.log.duration()))
+    for (const double len : {base, 2.0 * base}) {
+      if (w.t0 + len > f.log.duration()) continue;
+      const auto sig = compute_signature(
+          cut_window(recording, window_samples(w.t0, len, recording.sample_rate)),
+          cfg.signature);
+      expected.insert(expected.end(), sig.flat().begin(), sig.flat().end());
+    }
+  ASSERT_EQ(data.x.numel(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    ASSERT_EQ(data.x[i], expected[i]) << "feature " << i;
 }
 
 TEST(Dataset, BuildShapes) {

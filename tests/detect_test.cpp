@@ -227,8 +227,12 @@ TEST_P(KsPowerSweep, DetectsShiftsAboveHalfSigma) {
   const double shift = GetParam();
   const auto xs = normal_sample(300, shift, 1.0, 11);
   const auto r = ks_test_normal(xs, 0.0, 1.0);
-  if (shift >= 0.5) EXPECT_LT(r.p_value, 1e-3) << "shift " << shift;
-  if (shift == 0.0) EXPECT_GT(r.p_value, 1e-3);
+  if (shift >= 0.5) {
+    EXPECT_LT(r.p_value, 1e-3) << "shift " << shift;
+  }
+  if (shift == 0.0) {
+    EXPECT_GT(r.p_value, 1e-3);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shifts, KsPowerSweep,

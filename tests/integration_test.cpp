@@ -11,6 +11,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "attacks/sound_attack.hpp"
@@ -24,6 +25,7 @@
 #include "stream/rca_session.hpp"
 #include "stream/streaming_extractor.hpp"
 #include "test_helpers.hpp"
+#include "util/binary_io.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sb::core {
@@ -507,52 +509,53 @@ TEST(Integration, FrequencyGroupRemovalDegradesAccuracy) {
   EXPECT_GT(ablated_mse, clean_mse);
 }
 
+TEST(Integration, LoadRejectsCraftedFeatureCountWithoutThrowing) {
+  // A CRC-valid frame whose standardization feature count was rewritten:
+  // load must return false, never hand the count to the allocator.
+  const auto& p = pipeline();
+  std::stringstream saved;
+  ASSERT_TRUE(p.mapper->save(saved));
+  const std::string frame = saved.str();
+  std::uint64_t magic = 0;
+  std::uint32_t version = 0;
+  std::memcpy(&magic, frame.data(), sizeof magic);
+  std::memcpy(&version, frame.data() + sizeof magic, sizeof version);
+  std::string payload;
+  ASSERT_EQ(util::io::read_frame(saved, magic, version, payload), nullptr);
+
+  // Payload tail: feature count, mean[feat], inv_std[feat], calib a/b.
+  const auto shape = signature_shape(p.mapper->config().dataset.signature);
+  const std::uint64_t feat = shape.channels * shape.frames * shape.bands;
+  const std::size_t at =
+      payload.size() - 2 * kLabelDim * sizeof(double) - 2 * feat * sizeof(float) -
+      sizeof(std::uint64_t);
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, payload.data() + at, sizeof stored);
+  ASSERT_EQ(stored, feat);
+
+  for (const std::uint64_t crafted : {feat + 1, std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+    std::string bad = payload;
+    std::memcpy(bad.data() + at, &crafted, sizeof crafted);
+    std::stringstream reframed;
+    ASSERT_TRUE(util::io::write_frame(reframed, magic, version, bad));
+    SensoryMapper loaded{p.mapper->config()};
+    bool ok = true;
+    EXPECT_NO_THROW(ok = loaded.load(reframed)) << "count " << crafted;
+    EXPECT_FALSE(ok) << "count " << crafted;
+    EXPECT_FALSE(loaded.trained());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Streaming equivalence: a flight pushed chunk-by-chunk through RcaSession +
 // InferenceScheduler must reproduce RcaEngine::analyze bit for bit —
 // signature windows, residual decisions, GPS fix decisions, health tallies
 // and the final report — at any thread count.
 //
-// The offline pipeline synthesizes each analysis window independently
-// (seeded per window start), so a continuous recording matches the offline
-// windows only where the grid tiles disjointly: stride == window.  The
-// equivalence mapper transplants the trained pipeline weights into a
-// stride == window configuration (save/load validates model kind and
-// parameter shapes, not stride), and the "recording" is the settle-period
-// audio followed by the offline windows' concatenation — exactly what a
-// microphone would have captured if the synthesizer were the world.
-
-const SensoryMapper& stream_mapper() {
-  static const std::unique_ptr<SensoryMapper> m = [] {
-    const auto& p = pipeline();
-    SensoryMapperConfig cfg = p.mapper->config();
-    cfg.dataset.stride = cfg.dataset.signature.window_seconds;
-    auto out = std::make_unique<SensoryMapper>(cfg);
-    const std::string path = "/tmp/soundboost_test_stream_mapper.bin";
-    if (!p.mapper->save(path) || !out->load(path))
-      throw std::logic_error{"stream_mapper: weight transplant failed"};
-    std::remove(path.c_str());
-    return out;
-  }();
-  return *m;
-}
-
-acoustics::MultiChannelAudio continuous_recording(const Flight& f,
-                                                  const SensoryMapper& m) {
-  const auto& ds = m.config().dataset;
-  const auto synth = test::lab().synthesizer(f);
-  acoustics::MultiChannelAudio out =
-      synth.synthesize(f.log, 0.0, ds.settle_time);
-  for (const WindowSpan& w :
-       window_grid(ds.settle_time, ds.stride, ds.signature.window_seconds,
-                   f.log.duration())) {
-    const auto win = synth.synthesize(f.log, w.t0, w.t1);
-    for (std::size_t c = 0; c < sensors::kNumMics; ++c)
-      out.channels[c].insert(out.channels[c].end(), win.channels[c].begin(),
-                             win.channels[c].end());
-  }
-  return out;
-}
+// Both paths see the flight's one recording (FlightLab::recording, i.e.
+// synthesize(log, 0, duration)): offline cuts its windows from it, the
+// stream pushes it chunk by chunk, and both cut with core::window_samples —
+// so the pipeline's own mapper is compared at its default stride.
 
 struct StreamOutcome {
   RcaReport report;
@@ -609,7 +612,7 @@ StreamOutcome run_streaming(const Flight& f, const SensoryMapper& m,
   auto sched = std::make_unique<stream::InferenceScheduler>(m);
   sched->attach(*session);
 
-  const auto audio = continuous_recording(f, m);
+  const auto audio = test::lab().recording(f);
   const std::size_t total = audio.num_samples();
   std::size_t imu_i = 0, gps_i = 0;
   bool restarted = false;
@@ -739,7 +742,7 @@ void expect_equivalent(const RcaReport& off, const RcaDecisionTrace& off_tr,
 // two counts.
 void check_equivalence(const Flight& f, const PredictionHooks& hooks = {}) {
   const auto& p = pipeline();
-  const auto& m = stream_mapper();
+  const auto& m = *p.mapper;
   RcaEngine engine{m, *p.imu_det, *p.gps_det};
   std::vector<RcaDecisionTrace> offline_traces;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -758,7 +761,7 @@ void check_equivalence(const Flight& f, const PredictionHooks& hooks = {}) {
 }
 
 TEST(StreamingEquivalence, ExtractorReslicesOfflineWindowsBitwise) {
-  const auto& m = stream_mapper();
+  const auto& m = *pipeline().mapper;
   const auto f = test::hover_flight(12.0, 424, 0.4);
   const auto offline = m.synthesize_windows(test::lab(), f);
   ASSERT_FALSE(offline.empty());
@@ -769,7 +772,7 @@ TEST(StreamingEquivalence, ExtractorReslicesOfflineWindowsBitwise) {
   cfg.stride = ds.stride;
   cfg.window_seconds = ds.signature.window_seconds;
   stream::StreamingFeatureExtractor ex{cfg};
-  const auto got = ex.push(continuous_recording(f, m));
+  const auto got = ex.push(test::lab().recording(f));
 
   ASSERT_EQ(got.size(), offline.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
@@ -787,7 +790,7 @@ TEST(StreamingEquivalence, BenignFlightMatchesOfflineAtOneAndFourThreads) {
 
 TEST(StreamingEquivalence, ChunkSizeDoesNotChangeTheVerdictEvidence) {
   const auto& p = pipeline();
-  const auto& m = stream_mapper();
+  const auto& m = *p.mapper;
   const auto f = test::hover_flight(25.0, 420, 0.4);
   RcaEngine engine{m, *p.imu_det, *p.gps_det};
   RcaDecisionTrace off_tr;
@@ -799,7 +802,7 @@ TEST(StreamingEquivalence, ChunkSizeDoesNotChangeTheVerdictEvidence) {
 TEST(StreamingEquivalence, ImuAttackFlightMatchesOffline) {
   const auto f = imu_attack_flight(attacks::ImuAttackType::kAccelDos, 421);
   const auto& p = pipeline();
-  const auto& m = stream_mapper();
+  const auto& m = *p.mapper;
   RcaEngine engine{m, *p.imu_det, *p.gps_det};
   const auto off = engine.analyze(test::lab(), f);
   EXPECT_TRUE(off.imu_attacked);  // the comparison must not be vacuous
@@ -809,7 +812,7 @@ TEST(StreamingEquivalence, ImuAttackFlightMatchesOffline) {
 TEST(StreamingEquivalence, GpsSpoofFlightMatchesOffline) {
   const auto f = gps_attack_flight(422);
   const auto& p = pipeline();
-  const auto& m = stream_mapper();
+  const auto& m = *p.mapper;
   RcaEngine engine{m, *p.imu_det, *p.gps_det};
   const auto off = engine.analyze(test::lab(), f);
   EXPECT_TRUE(off.gps_attacked);
@@ -824,7 +827,7 @@ TEST(StreamingEquivalence, CheckpointRestoreMidFlightIsBitwiseIdentical) {
   // the verdict being preserved is a non-vacuous one.
   const auto f = imu_attack_flight(attacks::ImuAttackType::kAccelDos, 421);
   const auto& p = pipeline();
-  const auto& m = stream_mapper();
+  const auto& m = *p.mapper;
   RcaEngine engine{m, *p.imu_det, *p.gps_det};
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     util::ThreadPool::set_threads(threads);
@@ -851,7 +854,7 @@ TEST(StreamingEquivalence, RecorderOnKeepsEvidenceBitwiseIdentical) {
   // final-verdict dump path runs too.
   const auto f = imu_attack_flight(attacks::ImuAttackType::kAccelDos, 421);
   const auto& p = pipeline();
-  const auto& m = stream_mapper();
+  const auto& m = *p.mapper;
   RcaEngine engine{m, *p.imu_det, *p.gps_det};
   RecorderGuard recorder_on{true};
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -872,7 +875,7 @@ TEST(StreamingEquivalence, RecorderOnServingStaysScratchHeapFlat) {
   util::ThreadPool::set_threads(1);
   RecorderGuard recorder_on{true};
   const auto& p = pipeline();
-  const auto& m = stream_mapper();
+  const auto& m = *p.mapper;
   const auto f = test::hover_flight(25.0, 420, 0.4);
   stream::RcaSessionConfig sc;
   sc.recorder.out_dir = ::testing::TempDir();
@@ -881,7 +884,7 @@ TEST(StreamingEquivalence, RecorderOnServingStaysScratchHeapFlat) {
   stream::InferenceScheduler sched{m};
   sched.attach(session);
 
-  const auto audio = continuous_recording(f, m);
+  const auto audio = test::lab().recording(f);
   const std::size_t total = audio.num_samples();
   const std::size_t chunk = 1600;
   const std::size_t warm_end = total / 2;  // well past settle + pool warm-up
@@ -916,7 +919,7 @@ TEST(StreamingEquivalence, FaultedFlightMatchesOffline) {
     for (auto& v : audio.channels[1]) v = 0.0;
   };
   const auto& p = pipeline();
-  const auto& m = stream_mapper();
+  const auto& m = *p.mapper;
   RcaEngine engine{m, *p.imu_det, *p.gps_det};
   RcaDecisionTrace off_tr;
   const auto off = engine.analyze(test::lab(), f, hooks, &off_tr);

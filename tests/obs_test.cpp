@@ -58,10 +58,17 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc{};
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// The replaced deletes free through one out-of-line call: inlined into a
+// container's deallocation, a bare std::free on memory from the (replaced)
+// operator new reads to GCC as a new/free mismatch (-Wmismatched-new-delete).
+namespace {
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
 
 namespace sb {
 namespace {
